@@ -390,13 +390,18 @@ func (c *Cluster) callObserved(dst []GroupID, payload []byte) (MsgID, map[GroupI
 	if err != nil {
 		return 0, nil, nil, err
 	}
+	// A stopped timer is released at once; time.After's would stay live
+	// for the whole CallTimeout under the module's pre-1.23 timer
+	// semantics, one per call.
+	timeout := time.NewTimer(c.cfg.CallTimeout)
+	defer timeout.Stop()
 	select {
 	case <-w.done:
 		c.mu.Lock()
 		results, observed := w.results, w.observed
 		c.mu.Unlock()
 		return m.ID, results, observed, nil
-	case <-time.After(c.cfg.CallTimeout):
+	case <-timeout.C:
 		c.mu.Lock()
 		delete(c.waiters, m.ID)
 		c.mu.Unlock()

@@ -127,8 +127,12 @@ func run(clientIdx, home int, protocol, overlayF, treeF, peersF string,
 				return fmt.Errorf("tx %d: %w", i, err)
 			}
 		}
+		// Stopped on completion, the timer is released at once (a
+		// time.After timer would stay live for the whole timeout).
+		timer := time.NewTimer(timeout)
 		select {
 		case <-done:
+			timer.Stop()
 			mu.Lock()
 			sort.Slice(replies, func(a, b int) bool { return replies[a] < replies[b] })
 			for k, d := range replies {
@@ -138,7 +142,7 @@ func run(clientIdx, home int, protocol, overlayF, treeF, peersF string,
 			}
 			mu.Unlock()
 			completed++
-		case <-time.After(timeout):
+		case <-timer.C:
 			return fmt.Errorf("tx %d (%s to %v) timed out", i, m.ID, m.Dst)
 		}
 	}

@@ -10,8 +10,9 @@ import (
 // AppendBinary appends a canonical encoding of the history: lastDlvd,
 // the append-only log (pruned entries included — diff cursors are
 // indexes into it, so the log must survive serialization verbatim),
-// live nodes sorted by id, and live edges sorted by (from, to). The
-// pred index and msgsTo counters are derived on decode.
+// live nodes sorted by id, and live edges sorted by (from, to). Slots,
+// generations and the msgsTo counters are rebuilt on decode, so the
+// encoding does not depend on slot numbering.
 func (h *History) AppendBinary(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(h.last))
 	buf = binary.AppendUvarint(buf, uint64(len(h.log)))
@@ -60,20 +61,26 @@ func Decode(r *codec.Reader) *History {
 			}})
 		}
 	}
+	// The log's refs stay zero (stale): the first liveness test of each
+	// entry resolves it by id and refreshes it, so a decoded edge entry
+	// can never claim an edge that was pruned and is absent now.
 	nNodes := r.Count()
 	for i := 0; i < nNodes && r.Err() == nil; i++ {
 		n := Node{ID: amcast.MsgID(r.Uvarint()), Dst: r.Groups()}
-		h.nodes[n.ID] = n
-		for _, g := range n.Dst {
-			h.msgsTo[g]++
+		if _, dup := h.idx[n.ID]; !dup {
+			h.alloc(n)
 		}
 	}
 	nEdges := r.Count()
 	for i := 0; i < nEdges && r.Err() == nil; i++ {
-		from := amcast.MsgID(r.Uvarint())
-		to := amcast.MsgID(r.Uvarint())
-		addSet(h.succ, from, to)
-		addSet(h.pred, to, from)
+		fs, fok := h.idx[amcast.MsgID(r.Uvarint())]
+		ts, tok := h.idx[amcast.MsgID(r.Uvarint())]
+		if !fok || !tok || fs == ts {
+			continue // not in a record AppendBinary writes
+		}
+		h.slots[fs].succ = append(h.slots[fs].succ, ts)
+		h.slots[ts].pred = append(h.slots[ts].pred, fs)
+		h.edges++
 	}
 	return h
 }

@@ -174,22 +174,35 @@ func deployTCP(cfg Config, proto *protocolDeployment, clients []*clientProc) (*d
 	for _, c := range clients {
 		ids = append(ids, c.id)
 	}
-	// Reserve a loopback port per node: listen on :0, record the port,
-	// close, and hand the address out through the book. The tiny window
-	// between close and the node's own listen is acceptable for a local
-	// benchmark.
+	// Open every node's loopback listener before anyone dials: the book
+	// is complete before the first node starts, and no port is released
+	// between choosing it and listening on it.
+	lns := make(map[amcast.NodeID]net.Listener, len(ids))
+	closeUnused := func() {
+		for _, ln := range lns {
+			ln.Close()
+		}
+	}
 	for _, id := range ids {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			return nil, fmt.Errorf("loadgen: reserve port: %w", err)
+			closeUnused()
+			return nil, fmt.Errorf("loadgen: listen: %w", err)
 		}
+		lns[id] = ln
 		book[id] = ln.Addr().String()
-		ln.Close()
+	}
+	// take hands id's listener to its node.
+	take := func(id amcast.NodeID) net.Listener {
+		ln := lns[id]
+		delete(lns, id)
+		return ln
 	}
 
 	dep := &deployment{}
 	var tcpNodes []*transport.TCPNode
 	cleanup := func() {
+		closeUnused()
 		for _, tn := range tcpNodes {
 			tn.Close()
 		}
@@ -217,23 +230,14 @@ func deployTCP(cfg Config, proto *protocolDeployment, clients []*clientProc) (*d
 			// Peer unreachable mid-benchmark only happens at teardown.
 			_ = tn.SendBatch(to, envs)
 		}, nodeConfig(cfg, proto, eng))
-		tn, err = transport.NewTCPBatchNode(amcast.GroupNode(g), book, node.Submit)
+		tn = transport.ListenerBatchNode(amcast.GroupNode(g), take(amcast.GroupNode(g)), book, node.Submit)
 		close(ready)
-		if err != nil {
-			node.Close()
-			cleanup()
-			return nil, err
-		}
 		dep.nodes = append(dep.nodes, node)
 		tcpNodes = append(tcpNodes, tn)
 	}
 	for _, c := range clients {
 		c := c
-		tn, err := transport.NewTCPBatchNode(c.id, book, c.onReplies)
-		if err != nil {
-			cleanup()
-			return nil, err
-		}
+		tn := transport.ListenerBatchNode(c.id, take(c.id), book, c.onReplies)
 		tcpNodes = append(tcpNodes, tn)
 		c.batcher = runtime.NewBatcher(func(to amcast.NodeID, envs []amcast.Envelope) {
 			_ = tn.SendBatch(to, envs)

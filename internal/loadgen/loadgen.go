@@ -1477,9 +1477,10 @@ func copyDirImage(src string) (string, error) {
 //     value and watermark back.
 //
 // Every serve folds the read's watermark into the session barrier
-// (monotonic reads across replicas). wait selects closed-loop
-// semantics for the remote form; synchronous serves ignore it.
-func (c *clientProc) doRead(gen *gtpcc.Gen, cfg Config, stop <-chan struct{}, wait bool) error {
+// (monotonic reads across replicas). A non-nil wait selects closed-loop
+// semantics for the remote form and times its reply; synchronous serves
+// ignore it.
+func (c *clientProc) doRead(gen *gtpcc.Gen, cfg Config, stop <-chan struct{}, wait *waitTimer) error {
 	tx := gen.NextRead()
 	if cfg.Replicas <= 1 {
 		ex := c.run.proto.execByGroup[tx.Home]
@@ -1518,11 +1519,11 @@ func (c *clientProc) doRead(gen *gtpcc.Gen, cfg Config, stop <-chan struct{}, wa
 }
 
 // remoteRead ships one read to the serving node as a KindRead
-// transaction. With wait (closed loop) it blocks for the reply; the
+// transaction. With a wait timer (closed loop) it blocks for the reply; the
 // reply's watermark folds into the session barrier via the ordinary
 // reply path (onReplies), and completion lands in the read histogram
 // (complete).
-func (c *clientProc) remoteRead(tx gtpcc.Tx, cfg Config, stop <-chan struct{}, wait bool) error {
+func (c *clientProc) remoteRead(tx gtpcc.Tx, cfg Config, stop <-chan struct{}, wait *waitTimer) error {
 	m := amcast.Message{
 		ID:      amcast.NewMsgID(c.idx, readSeqBase+c.readSeq.Add(1)),
 		Sender:  c.id,
@@ -1530,18 +1531,50 @@ func (c *clientProc) remoteRead(tx gtpcc.Tx, cfg Config, stop <-chan struct{}, w
 		Flags:   amcast.FlagRead,
 		Payload: gtpcc.EncodeTx(tx),
 	}
-	st := c.issue(m, txMeta{typ: tx.Type, isRead: true}, wait, false)
-	if !wait {
-		return nil
-	}
-	select {
-	case <-st.done:
-		return nil
-	case <-time.After(cfg.Timeout):
+	st := c.issue(m, txMeta{typ: tx.Type, isRead: true}, wait != nil, false)
+	if wait != nil && wait.await(st.done, stop, cfg.Timeout) {
 		return fmt.Errorf("loadgen: client %d remote read %s to warehouse %d timed out after %v",
 			c.idx, m.ID, tx.Home, cfg.Timeout)
-	case <-stop:
-		return nil
+	}
+	return nil
+}
+
+// waitTimer is one session loop's reusable transaction timeout. A
+// time.After per wait allocates a timer that, under the pre-Go 1.23
+// timer semantics this module's go directive selects, stays reachable
+// until it fires: with the default 30 s timeout every transaction of the
+// last 30 s kept one live (139 MB of a 324 MB heap in a closed-loop
+// gTPC-C run), and the growing heap's GC mark cost made throughput fall
+// within a run. A loop arms one timer per wait and stops it afterwards.
+type waitTimer struct{ t *time.Timer }
+
+func newWaitTimer() *waitTimer {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &waitTimer{t: t}
+}
+
+// await blocks until done or stop is closed or d elapses, and reports
+// whether it timed out. The timer has fired or is stopped whenever await
+// is not running, so a loop needs no cleanup. A fire that raced the
+// previous wait's Stop may still sit in the channel; it carries that
+// wait's earlier deadline and is skipped, so no drain is needed under
+// either timer semantics.
+func (w *waitTimer) await(done, stop <-chan struct{}, d time.Duration) bool {
+	deadline := time.Now().Add(d)
+	w.t.Reset(d)
+	for {
+		select {
+		case <-done:
+		case <-stop:
+		case fired := <-w.t.C:
+			if fired.Before(deadline) {
+				continue
+			}
+			return true
+		}
+		w.t.Stop()
+		return false
 	}
 }
 
@@ -1554,13 +1587,14 @@ func readLoop(c *clientProc, worker int, cfg Config, stop <-chan struct{}, errCh
 		sendErr(errCh, err)
 		return
 	}
+	timer := newWaitTimer()
 	for {
 		select {
 		case <-stop:
 			return
 		default:
 		}
-		if err := c.doRead(gen, cfg, stop, true); err != nil {
+		if err := c.doRead(gen, cfg, stop, timer); err != nil {
 			sendErr(errCh, err)
 			return
 		}
@@ -1590,6 +1624,7 @@ func closedLoop(c *clientProc, worker int, cfg Config, stop <-chan struct{}, err
 	}
 	reads := readRNG(cfg, c.idx, worker)
 	seq := uint64(worker) << 24 // per-worker id space within the client
+	timer := newWaitTimer()
 	for {
 		select {
 		case <-stop:
@@ -1597,7 +1632,7 @@ func closedLoop(c *clientProc, worker int, cfg Config, stop <-chan struct{}, err
 		default:
 		}
 		if readRoll(reads, cfg) {
-			if err := c.doRead(gen, cfg, stop, true); err != nil {
+			if err := c.doRead(gen, cfg, stop, timer); err != nil {
 				sendErr(errCh, err)
 				return
 			}
@@ -1606,13 +1641,9 @@ func closedLoop(c *clientProc, worker int, cfg Config, stop <-chan struct{}, err
 		seq++
 		m, meta := nextMessage(c, gen, cfg, seq)
 		tx := c.issue(m, meta, true, false)
-		select {
-		case <-tx.done:
-		case <-time.After(cfg.Timeout):
+		if timer.await(tx.done, stop, cfg.Timeout) {
 			sendErr(errCh, fmt.Errorf("loadgen: client %d worker %d: tx %s to %v timed out after %v",
 				c.idx, worker, m.ID, m.Dst, cfg.Timeout))
-			return
-		case <-stop:
 			return
 		}
 	}
@@ -1653,7 +1684,7 @@ func openLoop(c *clientProc, cfg Config, stop <-chan struct{}, errCh chan<- erro
 					// budget; remote reads issue asynchronously and
 					// resolve through the reply handler (they do
 					// occupy the in-flight table until answered).
-					if err := c.doRead(gen, cfg, stop, false); err != nil {
+					if err := c.doRead(gen, cfg, stop, nil); err != nil {
 						sendErr(errCh, err)
 						return
 					}
@@ -1709,7 +1740,7 @@ func openLoopSessions(c *clientProc, cfg Config, stop <-chan struct{}, errCh cha
 			for seq < owed {
 				seq++
 				if readRoll(reads, cfg) {
-					if err := c.doRead(gen, cfg, stop, false); err != nil {
+					if err := c.doRead(gen, cfg, stop, nil); err != nil {
 						sendErr(errCh, err)
 						return
 					}
@@ -1740,6 +1771,7 @@ func openLoopSessions(c *clientProc, cfg Config, stop <-chan struct{}, errCh cha
 func flushLoop(c *clientProc, cfg Config, proto *protocolDeployment, stop <-chan struct{}, errCh chan<- error) {
 	t := time.NewTicker(cfg.FlushEvery)
 	defer t.Stop()
+	timer := newWaitTimer()
 	seq := uint64(1) << 38 // clear of every worker's id space
 	for {
 		select {
@@ -1755,13 +1787,9 @@ func flushLoop(c *clientProc, cfg Config, proto *protocolDeployment, stop <-chan
 			Flags:  amcast.FlagFlush,
 		}
 		tx := c.issue(m, txMeta{}, true, true)
-		select {
-		case <-tx.done:
-		case <-time.After(cfg.Timeout):
+		if timer.await(tx.done, stop, cfg.Timeout) {
 			sendErr(errCh, fmt.Errorf("loadgen: flush multicast %s timed out after %v (GC stalled)",
 				m.ID, cfg.Timeout))
-			return
-		case <-stop:
 			return
 		}
 	}

@@ -529,3 +529,45 @@ func TestRunSessionsShedUnderOverload(t *testing.T) {
 		t.Fatalf("shed rate missing from slo section: %+v", res.SLO)
 	}
 }
+
+// TestDeployTCPRepeatedly deploys and tears down the tcp transport many
+// times. Every node serves on the listener whose address the book
+// publishes, so no deployment can fail to bind: a port released between
+// reservation and listen could be handed to the next reservation too.
+func TestDeployTCPRepeatedly(t *testing.T) {
+	cfg := shortCfg()
+	cfg.Transport = "tcp"
+	if err := cfg.fill(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		proto, err := buildProtocol(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := &run{cfg: cfg, proto: proto}
+		dep, _, err := deploy(cfg, proto, r)
+		if err != nil {
+			t.Fatalf("deployment %d: %v", i, err)
+		}
+		dep.close()
+	}
+}
+
+// TestWaitTimerSkipsStaleFire: a fire an earlier wait left in the
+// timer's channel (it raced that wait's Stop) must not time out the next
+// wait, and a wait nothing answers must time out.
+func TestWaitTimerSkipsStaleFire(t *testing.T) {
+	w := newWaitTimer()
+	never := make(chan struct{})
+	if !w.await(never, never, time.Millisecond) {
+		t.Fatal("an unanswered wait did not time out")
+	}
+	w.t.Reset(time.Nanosecond)
+	time.Sleep(time.Millisecond) // the fire lands in the channel, unread
+	done := make(chan struct{})
+	time.AfterFunc(5*time.Millisecond, func() { close(done) })
+	if w.await(done, never, time.Hour) {
+		t.Fatal("a stale fire timed out a fresh wait")
+	}
+}

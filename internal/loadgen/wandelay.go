@@ -27,7 +27,12 @@ type delayNet struct {
 	mu     sync.Mutex
 	links  map[delayLinkKey]*delayLink
 	closed bool
-	wg     sync.WaitGroup
+	// sending counts sends between their closed check and their channel
+	// send; close waits for them before closing the link channels. The
+	// mutex is not held across the send itself: it can block on a full
+	// link, and drainers re-enter send through deliver.
+	sending sync.WaitGroup
+	wg      sync.WaitGroup
 }
 
 type delayLinkKey struct{ from, to amcast.NodeID }
@@ -102,12 +107,17 @@ func (d *delayNet) send(from, to amcast.NodeID, envs []amcast.Envelope, deliver 
 			}
 		}()
 	}
+	d.sending.Add(1)
 	d.mu.Unlock()
 	link.ch <- delayItem{due: time.Now().Add(d.delay(from, to)), to: to, envs: envs}
+	d.sending.Done()
 }
 
 // close stops every link drainer; queued batches still in flight are
-// delivered first (the drainers finish their channels).
+// delivered first (the drainers finish their channels). Sends that
+// passed the closed check finish before any channel closes: the
+// drainers keep draining meanwhile, and every later send returns at the
+// check.
 func (d *delayNet) close() {
 	d.mu.Lock()
 	if d.closed {
@@ -117,6 +127,7 @@ func (d *delayNet) close() {
 	d.closed = true
 	links := d.links
 	d.mu.Unlock()
+	d.sending.Wait()
 	for _, l := range links {
 		close(l.ch)
 	}

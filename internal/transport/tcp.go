@@ -76,6 +76,14 @@ func NewTCPBatchNode(id amcast.NodeID, book AddrBook, handler BatchHandler) (*TC
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
+	return ListenerBatchNode(id, ln, book, handler), nil
+}
+
+// ListenerBatchNode is NewTCPBatchNode on a listener the caller already
+// holds, which the node takes over. A deployment that opens every
+// node's listener on port 0 before filling the book never has a port
+// taken between reservation and listen.
+func ListenerBatchNode(id amcast.NodeID, ln net.Listener, book AddrBook, handler BatchHandler) *TCPNode {
 	n := &TCPNode{
 		id:      id,
 		book:    book,
@@ -88,7 +96,7 @@ func NewTCPBatchNode(id amcast.NodeID, book AddrBook, handler BatchHandler) (*TC
 	n.wg.Add(2)
 	go n.acceptLoop()
 	go n.dispatchLoop()
-	return n, nil
+	return n
 }
 
 // NewTCPEngineNode runs a protocol engine over TCP: outputs are
