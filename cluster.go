@@ -8,11 +8,9 @@ import (
 	"time"
 
 	"flexcast/amcast"
-	"flexcast/internal/core"
+	"flexcast/internal/deploy"
 	"flexcast/internal/durable"
-	"flexcast/internal/hierarchical"
 	"flexcast/internal/runtime"
-	"flexcast/internal/skeen"
 	"flexcast/internal/transport"
 )
 
@@ -28,18 +26,12 @@ const (
 	ProtocolHierarchical
 )
 
-// String names the protocol.
+// String names the protocol as internal/deploy does.
 func (p ProtocolKind) String() string {
-	switch p {
-	case ProtocolFlexCast:
-		return "flexcast"
-	case ProtocolSkeen:
-		return "skeen"
-	case ProtocolHierarchical:
-		return "hierarchical"
-	default:
-		return fmt.Sprintf("ProtocolKind(%d)", int(p))
+	if p >= ProtocolFlexCast && p <= ProtocolHierarchical {
+		return [...]string{deploy.FlexCast, deploy.Skeen, deploy.Hierarchical}[p-ProtocolFlexCast]
 	}
+	return fmt.Sprintf("ProtocolKind(%d)", int(p))
 }
 
 // ClusterConfig configures an in-process cluster.
@@ -127,11 +119,10 @@ type DurableRecovery struct {
 // (internal/runtime), plus a built-in client for Multicast/Call. It is
 // the easiest way to embed atomic multicast in an application or test.
 type Cluster struct {
-	cfg      ClusterConfig
-	groups   []GroupID
-	net      *transport.InMemNet
-	nodes    []*runtime.Node
-	durables map[GroupID]*durable.Engine
+	cfg   ClusterConfig
+	proto *deploy.Protocol
+	net   *transport.InMemNet
+	dep   *deploy.Deployment
 	// clientSeq persists the built-in client's sequence reservation on
 	// durable clusters: message ids must stay unique across cluster
 	// incarnations, or a reopened cluster would reissue ids its recovered
@@ -164,69 +155,55 @@ type callWaiter struct {
 }
 
 // NewCluster builds and starts a cluster.
-func NewCluster(cfg ClusterConfig) (*Cluster, error) {
+func NewCluster(cfg ClusterConfig) (*Cluster, error) { return newCluster(cfg, nil, nil) }
+
+// newCluster is NewCluster over an explicit group set (nil: the
+// overlay's or tree's) with an optional store execution layer — the
+// StoreCluster path.
+func newCluster(cfg ClusterConfig, groups []GroupID, exec *deploy.Execute) (*Cluster, error) {
 	if cfg.Protocol == 0 {
 		cfg.Protocol = ProtocolFlexCast
 	}
 	if cfg.CallTimeout == 0 {
 		cfg.CallTimeout = 10 * time.Second
 	}
-	var groups []GroupID
-	switch cfg.Protocol {
-	case ProtocolFlexCast, ProtocolSkeen:
-		if cfg.Overlay == nil {
-			return nil, fmt.Errorf("flexcast: %s cluster requires an overlay", cfg.Protocol)
-		}
-		groups = cfg.Overlay.Groups()
-	case ProtocolHierarchical:
-		if cfg.Tree == nil {
-			return nil, fmt.Errorf("flexcast: hierarchical cluster requires a tree")
-		}
-		groups = cfg.Tree.Groups()
-	default:
-		return nil, fmt.Errorf("flexcast: unknown protocol %d", cfg.Protocol)
+	proto, err := deploy.Resolve(cfg.Protocol.String(), groups, cfg.Overlay, cfg.Tree)
+	if err != nil {
+		return nil, fmt.Errorf("flexcast: %w", err)
 	}
-
 	c := &Cluster{
 		cfg:      cfg,
-		groups:   groups,
+		proto:    proto,
 		net:      transport.NewInMemNet(),
-		durables: make(map[GroupID]*durable.Engine),
 		waiters:  make(map[MsgID]*callWaiter),
 		observed: make(amcast.PrefixTracker),
 	}
-	if cfg.Durable != nil {
-		if err := os.MkdirAll(cfg.Durable.Dir, 0o755); err != nil {
+	stack := &deploy.Stack{Proto: proto, Wrap: cfg.WrapEngine, Execute: exec}
+	if d := cfg.Durable; d != nil {
+		if err := os.MkdirAll(d.Dir, 0o755); err != nil {
 			return nil, err
 		}
-		sf, err := durable.OpenSeqFile(filepath.Join(cfg.Durable.Dir, "client.seq"), 0)
+		sf, err := durable.OpenSeqFile(filepath.Join(d.Dir, "client.seq"), 0)
 		if err != nil {
 			return nil, err
 		}
 		c.clientSeq = sf
+		stack.Durable = &deploy.Durable{
+			Dir:           d.Dir,
+			SnapshotEvery: d.SnapshotEvery,
+			FsyncEvery:    d.FsyncEvery,
+			KeepEpochs:    d.KeepEpochs,
+			Decode:        d.Decode,
+		}
 	}
-	for _, g := range groups {
-		eng, err := c.newEngine(g)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		id := amcast.GroupNode(g)
-		send := func(to NodeID, envs []Envelope) { c.net.SendBatch(id, to, envs) }
-		node := runtime.NewNode(eng, send, runtime.Config{
-			MaxBatch:      cfg.MaxBatch,
-			FlushInterval: cfg.FlushInterval,
-			OnDeliver: func(d Delivery) {
-				if cfg.OnDeliver != nil {
-					cfg.OnDeliver(d)
-				}
-			},
-		})
-		c.nodes = append(c.nodes, node)
-		if err := c.net.AddBatchHandler(id, node.Submit); err != nil {
-			c.Close()
-			return nil, err
-		}
+	send := func(from NodeID) runtime.SendBatchFunc {
+		return func(to NodeID, envs []Envelope) { c.net.SendBatch(from, to, envs) }
+	}
+	rc := runtime.Config{MaxBatch: cfg.MaxBatch, FlushInterval: cfg.FlushInterval, OnDeliver: cfg.OnDeliver}
+	c.dep, err = deploy.Start(stack, nil, deploy.InMem(c.net, send), func(*deploy.Group) runtime.Config { return rc })
+	if err != nil {
+		c.net.Close()
+		return nil, err
 	}
 	if err := c.net.AddHandler(amcast.ClientNode(0), c.onClientEnvelope); err != nil {
 		c.Close()
@@ -235,86 +212,17 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
-func (c *Cluster) newEngine(g GroupID) (Engine, error) {
-	var eng Engine
-	var err error
-	switch c.cfg.Protocol {
-	case ProtocolFlexCast:
-		eng, err = NewFlexCastEngine(g, c.cfg.Overlay)
-	case ProtocolSkeen:
-		eng, err = NewSkeenEngine(g, c.groups)
-	default:
-		eng, err = NewHierarchicalEngine(g, c.cfg.Tree)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if c.cfg.WrapEngine != nil {
-		if eng, err = c.cfg.WrapEngine(g, eng); err != nil {
-			return nil, err
-		}
-	}
-	if c.cfg.Durable != nil {
-		// The durable layer wraps the fully composed engine (execution
-		// layers included), so its WAL records the exact inputs of the
-		// state its snapshots capture.
-		return c.wrapDurable(g, eng)
-	}
-	return eng, nil
-}
-
-// wrapDurable puts one group's engine behind the durable backend,
-// recovering any prior state from its directory.
-func (c *Cluster) wrapDurable(g GroupID, eng Engine) (Engine, error) {
-	d := c.cfg.Durable
-	decode := d.Decode
-	if decode == nil {
-		proto := protocolSnapshotDecoder(c.cfg.Protocol)
-		decode = func(_ GroupID, data []byte) (amcast.Snapshot, error) { return proto(data) }
-	}
-	se, ok := eng.(amcast.SnapshotEngine)
-	if !ok {
-		return nil, fmt.Errorf("flexcast: durable backend requires a snapshot-capable engine, got %T", eng)
-	}
-	de, err := durable.Wrap(se, durable.Options{
-		Dir:           filepath.Join(d.Dir, fmt.Sprintf("group-%d", g)),
-		SnapshotEvery: d.SnapshotEvery,
-		FsyncEvery:    d.FsyncEvery,
-		KeepEpochs:    d.KeepEpochs,
-		Decode:        func(data []byte) (amcast.Snapshot, error) { return decode(g, data) },
-	})
-	if err != nil {
-		return nil, err
-	}
-	c.durables[g] = de
-	return de, nil
-}
-
-// protocolSnapshotDecoder returns the snapshot decoder of a protocol's
-// bare engine.
-func protocolSnapshotDecoder(p ProtocolKind) func([]byte) (amcast.Snapshot, error) {
-	switch p {
-	case ProtocolSkeen:
-		return skeen.UnmarshalSnapshot
-	case ProtocolHierarchical:
-		return hierarchical.UnmarshalSnapshot
-	default:
-		return core.UnmarshalSnapshot
-	}
-}
-
 // DurableRecoveries reports, per group, how the durable backend
 // recovered at cluster start. Empty on in-memory clusters.
 func (c *Cluster) DurableRecoveries() []DurableRecovery {
 	var out []DurableRecovery
-	for _, g := range c.groups {
-		de, ok := c.durables[g]
-		if !ok {
+	for _, grp := range c.dep.Groups {
+		if grp.Durable == nil {
 			continue
 		}
-		st := de.Recovery()
+		st := grp.Durable.Recovery()
 		out = append(out, DurableRecovery{
-			Group:             g,
+			Group:             grp.ID,
 			Recovered:         st.Recovered,
 			SnapshotEpoch:     st.SnapshotEpoch,
 			ReplayedRecords:   st.ReplayedRecords,
@@ -327,7 +235,7 @@ func (c *Cluster) DurableRecoveries() []DurableRecovery {
 }
 
 // Groups returns the cluster's group set.
-func (c *Cluster) Groups() []GroupID { return append([]GroupID(nil), c.groups...) }
+func (c *Cluster) Groups() []GroupID { return append([]GroupID(nil), c.proto.Groups...) }
 
 // ObservedPrefix returns the delivered prefix the cluster's built-in
 // client has observed at group g: one past the highest delivery
@@ -415,7 +323,7 @@ func (c *Cluster) send(dst []GroupID, payload []byte, w *callWaiter) (Message, e
 		return Message{}, fmt.Errorf("flexcast: empty destination set")
 	}
 	for _, g := range norm {
-		if !c.contains(g) {
+		if c.dep.Group(g) == nil {
 			return Message{}, fmt.Errorf("flexcast: group %d not in cluster", g)
 		}
 	}
@@ -448,30 +356,10 @@ func (c *Cluster) send(dst []GroupID, payload []byte, w *callWaiter) (Message, e
 	}
 	c.mu.Unlock()
 
-	for _, to := range c.entry(m) {
+	for _, to := range c.proto.Route(m) {
 		c.net.Send(m.Sender, to, Envelope{Kind: amcast.KindRequest, From: m.Sender, Msg: m})
 	}
 	return m, nil
-}
-
-func (c *Cluster) contains(g GroupID) bool {
-	for _, have := range c.groups {
-		if have == g {
-			return true
-		}
-	}
-	return false
-}
-
-func (c *Cluster) entry(m Message) []NodeID {
-	switch c.cfg.Protocol {
-	case ProtocolFlexCast:
-		return []NodeID{FlexCastEntry(c.cfg.Overlay, m)}
-	case ProtocolHierarchical:
-		return []NodeID{HierarchicalEntry(c.cfg.Tree, m)}
-	default:
-		return SkeenEntry(m)
-	}
 }
 
 func (c *Cluster) onClientEnvelope(env Envelope) {
@@ -496,7 +384,8 @@ func (c *Cluster) onClientEnvelope(env Envelope) {
 	}
 }
 
-// Close stops all group goroutines. Pending Calls fail by timeout.
+// Close stops all group goroutines (follower read replicas included).
+// Pending Calls fail by timeout.
 func (c *Cluster) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -506,7 +395,5 @@ func (c *Cluster) Close() {
 	c.closed = true
 	c.mu.Unlock()
 	c.net.Close()
-	for _, n := range c.nodes {
-		n.Close()
-	}
+	c.dep.Close()
 }

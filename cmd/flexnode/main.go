@@ -16,15 +16,14 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	"flexcast"
-	"flexcast/amcast"
+	"flexcast/internal/deploy"
 	"flexcast/internal/runtime"
 	"flexcast/internal/telemetry"
 	"flexcast/internal/transport"
@@ -53,46 +52,13 @@ func run(group int, protocol, overlayF, treeF, peersF string, batch int, flush t
 		return fmt.Errorf("missing -group")
 	}
 	g := flexcast.GroupID(group)
-	book, err := parsePeers(peersF)
+	book, err := deploy.ParsePeers(peersF)
 	if err != nil {
 		return err
 	}
-
-	var eng flexcast.Engine
-	switch protocol {
-	case "flexcast":
-		order, err := parseGroups(overlayF)
-		if err != nil {
-			return err
-		}
-		ov, err := flexcast.NewOverlay(order)
-		if err != nil {
-			return err
-		}
-		eng, err = flexcast.NewFlexCastEngine(g, ov)
-		if err != nil {
-			return err
-		}
-	case "skeen":
-		order, err := parseGroups(overlayF)
-		if err != nil {
-			return err
-		}
-		eng, err = flexcast.NewSkeenEngine(g, order)
-		if err != nil {
-			return err
-		}
-	case "hierarchical":
-		tree, err := parseTree(treeF)
-		if err != nil {
-			return err
-		}
-		eng, err = flexcast.NewHierarchicalEngine(g, tree)
-		if err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown protocol %q", protocol)
+	proto, err := deploy.ResolveFlags(protocol, overlayF, treeF)
+	if err != nil {
+		return err
 	}
 
 	onDeliver := func(d flexcast.Delivery) {
@@ -103,36 +69,18 @@ func run(group int, protocol, overlayF, treeF, peersF string, batch int, flush t
 	}
 	// The batched node runtime over TCP: inbound frames (single or batch)
 	// drain through the engine's batch fast path; outputs leave as batch
-	// frames per destination. The listener starts accepting before the
-	// TCPNode variable is assigned, so the send path gates on tcpReady —
-	// a frame dispatched in that window parks until the assignment is
-	// published.
-	var (
-		tcp      *transport.TCPNode
-		tcpReady = make(chan struct{})
-	)
-	rt := runtime.NewNode(eng, func(to flexcast.NodeID, envs []flexcast.Envelope) {
-		<-tcpReady
-		if tcp == nil {
-			return // listener never came up; the node is shutting down
-		}
-		// Peer unreachable: FIFO links are assumed reliable by the
-		// protocols; the send path retries dialing, so this only
-		// triggers on shutdown.
-		_ = tcp.SendBatch(to, envs)
-	}, runtime.Config{MaxBatch: batch, FlushInterval: flush, OnDeliver: onDeliver})
-	tcp, err = transport.NewTCPBatchNode(amcast.GroupNode(g), book, rt.Submit)
+	// frames per destination.
+	listen := func(id flexcast.NodeID) (net.Listener, error) { return transport.Listen(id, book) }
+	dep, err := deploy.Start(&deploy.Stack{Proto: proto}, []flexcast.GroupID{g}, deploy.TCP(book, listen),
+		func(*deploy.Group) runtime.Config {
+			return runtime.Config{MaxBatch: batch, FlushInterval: flush, OnDeliver: onDeliver}
+		})
 	if err != nil {
-		close(tcpReady) // unblock the worker so Close can drain
-		rt.Close()
 		return err
 	}
-	close(tcpReady)
-	defer func() {
-		tcp.Close()
-		rt.Close()
-	}()
-	log.Printf("flexnode: group %d (%s) listening on %s (batch=%d)", group, protocol, tcp.Addr(), batch)
+	defer dep.Close()
+	rt := dep.Nodes[0]
+	log.Printf("flexnode: group %d (%s) listening on %s (batch=%d)", group, protocol, book[flexcast.GroupNode(g)], batch)
 
 	if telem != "" {
 		reg := telemetry.Default
@@ -156,92 +104,4 @@ func run(group int, protocol, overlayF, treeF, peersF string, batch int, flush t
 	<-sig
 	log.Printf("flexnode: shutting down")
 	return nil
-}
-
-// parsePeers parses "g1=host:port,c0=host:port,...".
-func parsePeers(s string) (transport.AddrBook, error) {
-	book := make(transport.AddrBook)
-	if s == "" {
-		return nil, fmt.Errorf("missing -peers")
-	}
-	for _, pair := range strings.Split(s, ",") {
-		kv := strings.SplitN(pair, "=", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("bad peer %q", pair)
-		}
-		id, err := parseNodeID(kv[0])
-		if err != nil {
-			return nil, err
-		}
-		book[id] = kv[1]
-	}
-	return book, nil
-}
-
-func parseNodeID(s string) (flexcast.NodeID, error) {
-	if len(s) < 2 {
-		return 0, fmt.Errorf("bad node id %q", s)
-	}
-	n, err := strconv.Atoi(s[1:])
-	if err != nil {
-		return 0, fmt.Errorf("bad node id %q: %w", s, err)
-	}
-	switch s[0] {
-	case 'g':
-		return amcast.GroupNode(flexcast.GroupID(n)), nil
-	case 'c':
-		return amcast.ClientNode(n), nil
-	default:
-		return 0, fmt.Errorf("bad node id %q (want gN or cN)", s)
-	}
-}
-
-func parseGroups(s string) ([]flexcast.GroupID, error) {
-	if s == "" {
-		return nil, fmt.Errorf("missing -overlay")
-	}
-	var out []flexcast.GroupID
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bad group %q: %w", part, err)
-		}
-		out = append(out, flexcast.GroupID(n))
-	}
-	return out, nil
-}
-
-// parseTree parses "root:parent=c1|c2,parent=c3", e.g.
-// "8:8=7|5|9,7=6,5=1|2|3|4,9=10|11|12".
-func parseTree(s string) (*flexcast.Tree, error) {
-	if s == "" {
-		return nil, fmt.Errorf("missing -tree")
-	}
-	head := strings.SplitN(s, ":", 2)
-	if len(head) != 2 {
-		return nil, fmt.Errorf("tree must be root:edges")
-	}
-	root, err := strconv.Atoi(head[0])
-	if err != nil {
-		return nil, fmt.Errorf("bad tree root %q: %w", head[0], err)
-	}
-	children := make(map[flexcast.GroupID][]flexcast.GroupID)
-	for _, edge := range strings.Split(head[1], ",") {
-		kv := strings.SplitN(edge, "=", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("bad tree edge %q", edge)
-		}
-		p, err := strconv.Atoi(kv[0])
-		if err != nil {
-			return nil, fmt.Errorf("bad tree parent %q: %w", kv[0], err)
-		}
-		for _, c := range strings.Split(kv[1], "|") {
-			n, err := strconv.Atoi(c)
-			if err != nil {
-				return nil, fmt.Errorf("bad tree child %q: %w", c, err)
-			}
-			children[flexcast.GroupID(p)] = append(children[flexcast.GroupID(p)], flexcast.GroupID(n))
-		}
-	}
-	return flexcast.NewTree(flexcast.GroupID(root), children)
 }

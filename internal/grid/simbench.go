@@ -5,9 +5,8 @@ import (
 	"time"
 
 	"flexcast/amcast"
-	"flexcast/internal/core"
+	"flexcast/internal/deploy"
 	"flexcast/internal/gtpcc"
-	"flexcast/internal/overlay"
 	"flexcast/internal/sim"
 	"flexcast/internal/smr"
 	"flexcast/internal/store"
@@ -59,10 +58,11 @@ func runSimbench(cell Cell, repeat int) (map[string]float64, error) {
 		ids[i] = amcast.GroupID(i + 1)
 	}
 	s := sim.New()
-	ov, err := overlay.NewCDAG(ids)
+	proto, err := deploy.Resolve(deploy.FlexCast, ids, nil, nil)
 	if err != nil {
 		return nil, err
 	}
+	stack := &deploy.Stack{Proto: proto, Execute: &deploy.Execute{}}
 	net := sim.NewNetwork(s, func(from, to amcast.NodeID) sim.Time { return 2000 })
 	grps := make(map[amcast.GroupID]*smr.Group, groups)
 	for _, g := range ids {
@@ -72,11 +72,11 @@ func runSimbench(cell Cell, repeat int) (map[string]float64, error) {
 			Replicas:  replicas,
 			LeaseTerm: leaseTerm,
 			NewEngine: func() (amcast.Engine, error) {
-				eng, err := core.New(core.Config{Group: g, Overlay: ov})
+				grp, err := stack.Build(g)
 				if err != nil {
 					return nil, err
 				}
-				return store.NewExecutor(eng, store.Config{Warehouse: g}, false)
+				return grp.Engine, nil
 			},
 		}, s, net)
 		if err != nil {
@@ -127,16 +127,12 @@ func runSimbench(cell Cell, repeat int) (map[string]float64, error) {
 
 	// The no-gate baseline: the same TryRead against a standalone
 	// executor (identical store population, no smr wrapping).
-	eng, err := core.New(core.Config{Group: ids[0], Overlay: ov})
-	if err != nil {
-		return nil, err
-	}
-	ex, err := store.NewExecutor(eng, store.Config{Warehouse: ids[0]}, false)
+	leader, err := stack.Build(ids[0])
 	if err != nil {
 		return nil, err
 	}
 	leaderNs, err := measureOps(ops, func() error {
-		_, rerr := ex.TryRead(read, 0)
+		_, rerr := leader.Exec.TryRead(read, 0)
 		return rerr
 	})
 	if err != nil {

@@ -7,12 +7,10 @@ import (
 
 	"flexcast/amcast"
 	"flexcast/internal/chaos"
-	"flexcast/internal/core"
+	"flexcast/internal/deploy"
 	"flexcast/internal/gtpcc"
-	"flexcast/internal/hierarchical"
 	"flexcast/internal/overlay"
 	"flexcast/internal/sim"
-	"flexcast/internal/skeen"
 	"flexcast/internal/store"
 	"flexcast/internal/trace"
 	"flexcast/internal/wan"
@@ -54,61 +52,31 @@ func (c *ChaosConfig) fill() {
 // chaosDeployment adapts a protocol to the chaos explorer.
 func chaosDeployment(cfg ChaosConfig) (chaos.Deployment, error) {
 	cfg.fill()
-	groups := wan.Groups()
+	proto, err := deploy.Resolve(deployNames[cfg.Protocol], wan.Groups(), cfg.Overlay, cfg.Tree)
+	if err != nil {
+		return chaos.Deployment{}, fmt.Errorf("harness: protocol %s: %w", cfg.Protocol, err)
+	}
+	stack := &deploy.Stack{Proto: proto}
+	if cfg.Execute {
+		stack.Execute = &deploy.Execute{Mirror: true}
+	}
 	d := chaos.Deployment{
 		Name:       cfg.Protocol.String(),
-		Groups:     groups,
+		Groups:     proto.Groups,
 		Minimality: cfg.Protocol != Hierarchical,
-	}
-	switch cfg.Protocol {
-	case FlexCast:
-		ov := cfg.Overlay
-		d.Factory = func(g amcast.GroupID) (amcast.SnapshotEngine, error) {
-			return core.New(core.Config{Group: g, Overlay: ov})
-		}
-		d.Route = func(m amcast.Message) []amcast.NodeID {
-			return []amcast.NodeID{amcast.GroupNode(ov.Lca(m.Dst))}
-		}
-		d.Decode = core.UnmarshalSnapshot
-	case Distributed:
-		d.Factory = func(g amcast.GroupID) (amcast.SnapshotEngine, error) {
-			return skeen.New(skeen.Config{Group: g, Groups: groups})
-		}
-		d.Route = func(m amcast.Message) []amcast.NodeID {
-			nodes := make([]amcast.NodeID, len(m.Dst))
-			for i, g := range m.Dst {
-				nodes[i] = amcast.GroupNode(g)
-			}
-			return nodes
-		}
-		d.Decode = skeen.UnmarshalSnapshot
-	case Hierarchical:
-		tree := cfg.Tree
-		d.Factory = func(g amcast.GroupID) (amcast.SnapshotEngine, error) {
-			return hierarchical.New(hierarchical.Config{Group: g, Tree: tree})
-		}
-		d.Route = func(m amcast.Message) []amcast.NodeID {
-			return []amcast.NodeID{amcast.GroupNode(tree.Lca(m.Dst))}
-		}
-		d.Decode = hierarchical.UnmarshalSnapshot
-	default:
-		return d, fmt.Errorf("harness: unknown protocol %d", cfg.Protocol)
-	}
-	if cfg.Execute {
-		base := d.Factory
-		d.Factory = func(g amcast.GroupID) (amcast.SnapshotEngine, error) {
-			eng, err := base(g)
+		Route:      proto.Route,
+		// Executor snapshots embed the protocol snapshot; the stack's
+		// decoder composes both, so durable mode recovers either.
+		Decode: stack.Decoder(),
+		Factory: func(g amcast.GroupID) (amcast.SnapshotEngine, error) {
+			grp, err := stack.Build(g)
 			if err != nil {
 				return nil, err
 			}
-			return store.NewExecutor(eng, store.Config{Warehouse: g}, true)
-		}
-		// Executor snapshots embed the protocol snapshot; compose the
-		// decoders so durable mode can recover executor-wrapped engines.
-		proto := d.Decode
-		d.Decode = func(data []byte) (amcast.Snapshot, error) {
-			return store.UnmarshalSnapshot(data, proto)
-		}
+			return grp.Engine.(amcast.SnapshotEngine), nil
+		},
+	}
+	if cfg.Execute {
 		d.Instrument = instrumentExecution
 	}
 	return d, nil

@@ -12,13 +12,11 @@ import (
 	"flexcast/amcast"
 	"flexcast/internal/client"
 	"flexcast/internal/codec"
-	"flexcast/internal/core"
+	"flexcast/internal/deploy"
 	"flexcast/internal/gtpcc"
-	"flexcast/internal/hierarchical"
 	"flexcast/internal/metrics"
 	"flexcast/internal/overlay"
 	"flexcast/internal/sim"
-	"flexcast/internal/skeen"
 	"flexcast/internal/stats"
 	"flexcast/internal/trace"
 	"flexcast/internal/wan"
@@ -49,6 +47,13 @@ func (p Protocol) String() string {
 	default:
 		return fmt.Sprintf("Protocol(%d)", int(p))
 	}
+}
+
+// deployNames maps each protocol to its internal/deploy name.
+var deployNames = map[Protocol]string{
+	FlexCast:     deploy.FlexCast,
+	Distributed:  deploy.Skeen,
+	Hierarchical: deploy.Hierarchical,
 }
 
 // Config is one experiment configuration.
@@ -163,6 +168,7 @@ type deployment struct {
 	rec     *trace.Recorder
 	clients []*client.Client
 	engines map[amcast.GroupID]amcast.Engine
+	route   func(m amcast.Message) []amcast.NodeID
 	homes   map[amcast.NodeID]amcast.GroupID
 	res     *Result
 	flush   *client.Client
@@ -308,19 +314,13 @@ func (n *engineNode) HandleEnvelope(env amcast.Envelope) {
 }
 
 func (d *deployment) buildGroups() error {
-	for _, g := range wan.Groups() {
-		var eng amcast.Engine
-		var err error
-		switch d.cfg.Protocol {
-		case FlexCast:
-			eng, err = core.New(core.Config{Group: g, Overlay: d.cfg.Overlay})
-		case Distributed:
-			eng, err = skeen.New(skeen.Config{Group: g, Groups: wan.Groups()})
-		case Hierarchical:
-			eng, err = hierarchical.New(hierarchical.Config{Group: g, Tree: d.cfg.Tree})
-		default:
-			err = fmt.Errorf("harness: unknown protocol %d", d.cfg.Protocol)
-		}
+	proto, err := deploy.Resolve(deployNames[d.cfg.Protocol], wan.Groups(), d.cfg.Overlay, d.cfg.Tree)
+	if err != nil {
+		return fmt.Errorf("harness: protocol %s: %w", d.cfg.Protocol, err)
+	}
+	d.route = proto.Route
+	for _, g := range proto.Groups {
+		eng, err := proto.New(g)
 		if err != nil {
 			return err
 		}
@@ -329,21 +329,6 @@ func (d *deployment) buildGroups() error {
 		d.net.Register(id, &engineNode{d: d, id: id, eng: eng})
 	}
 	return nil
-}
-
-func (d *deployment) route(m amcast.Message) []amcast.NodeID {
-	switch d.cfg.Protocol {
-	case FlexCast:
-		return []amcast.NodeID{amcast.GroupNode(d.cfg.Overlay.Lca(m.Dst))}
-	case Hierarchical:
-		return []amcast.NodeID{amcast.GroupNode(d.cfg.Tree.Lca(m.Dst))}
-	default:
-		nodes := make([]amcast.NodeID, len(m.Dst))
-		for i, g := range m.Dst {
-			nodes[i] = amcast.GroupNode(g)
-		}
-		return nodes
-	}
 }
 
 func (d *deployment) buildClients() error {

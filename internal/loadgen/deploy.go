@@ -5,23 +5,23 @@ import (
 	"net"
 
 	"flexcast/amcast"
-	"flexcast/internal/durable"
+	"flexcast/internal/deploy"
 	"flexcast/internal/gtpcc"
 	"flexcast/internal/runtime"
-	"flexcast/internal/store"
 	"flexcast/internal/transport"
 )
 
-// deployment is the transport-specific part of a run: the server-side
-// runtime nodes plus a close function tearing everything down.
+// deployment is a run's running group nodes plus a close function
+// tearing everything down, transport and clients included.
 type deployment struct {
-	nodes []*runtime.Node
+	*deploy.Deployment
 	close func()
 }
 
-// deploy builds the group servers and client processes on the selected
-// transport.
-func deploy(cfg Config, proto *protocolDeployment, r *run) (*deployment, []*clientProc, error) {
+// start builds the group servers and client processes on the selected
+// transport and publishes the deployment as r.dep.
+func start(r *run) (*deployment, []*clientProc, error) {
+	cfg := r.cfg
 	clients := make([]*clientProc, cfg.Clients)
 	for i := range clients {
 		clients[i] = &clientProc{
@@ -37,51 +37,41 @@ func deploy(cfg Config, proto *protocolDeployment, r *run) (*deployment, []*clie
 			clients[i].sessBase = clients[i].sessions[0].id
 		}
 	}
+	var err error
 	switch cfg.Transport {
 	case "tcp":
-		dep, err := deployTCP(cfg, proto, clients)
-		return dep, clients, err
+		r.dep, err = deployTCP(r, clients)
 	default:
-		dep, err := deployInMem(cfg, proto, clients)
-		return dep, clients, err
+		r.dep, err = deployInMem(r, clients)
 	}
+	return r.dep, clients, err
 }
 
-func runtimeConfig(cfg Config, proto *protocolDeployment) runtime.Config {
+// nodeConfig is a group node's runtime configuration plus, on executing
+// deployments, the KindRead service: remote reads are answered directly
+// against the group's executor at the requested barrier — TryRead,
+// because a barrier derived from observed replies is always already
+// applied at the serving node (the watermark advances before replies
+// leave), so a miss is a broken contract and surfaces as a refusal the
+// client fails on. Reads are not inputs, so they bypass the durable log.
+func (r *run) nodeConfig(grp *deploy.Group) runtime.Config {
 	rc := runtime.Config{
-		MaxBatch:      cfg.MaxBatch,
-		FlushInterval: cfg.FlushInterval,
-		Tracer:        proto.tracer,
+		MaxBatch:      r.cfg.MaxBatch,
+		FlushInterval: r.cfg.FlushInterval,
+		Tracer:        r.tracer,
 	}
-	if cfg.Adaptive {
+	if r.cfg.Adaptive {
 		// The zero AdaptiveConfig fills to the full range: floor 1
 		// envelope / 50µs, ceiling the static knobs above. Adaptivity is
 		// server-side only — client batchers coalesce their own sessions
 		// and flush when the queue runs dry, which is already adaptive.
 		rc.Adaptive = &runtime.AdaptiveConfig{}
 	}
-	return rc
-}
-
-// nodeConfig is runtimeConfig plus, on executing deployments, the
-// KindRead service: remote reads are answered directly against the
-// node's executor at the requested barrier — TryRead, because a
-// barrier derived from observed replies is always already applied at
-// the serving node (the watermark advances before replies leave), so a
-// miss is a broken contract and surfaces as a refusal the client fails
-// on.
-func nodeConfig(cfg Config, proto *protocolDeployment, eng amcast.Engine) runtime.Config {
-	rc := runtimeConfig(cfg, proto)
-	if de, ok := eng.(*durable.Engine); ok {
-		// The read handler serves against the executor inside the durable
-		// wrap (reads are not inputs — nothing to log).
-		eng = de.Inner()
-	}
-	ex, ok := eng.(*store.Executor)
-	if !ok {
+	ex := grp.Exec
+	if ex == nil {
 		return rc
 	}
-	from := amcast.GroupNode(eng.Group())
+	from := amcast.GroupNode(grp.ID)
 	rc.ReadHandler = func(env amcast.Envelope) amcast.Envelope {
 		reply := amcast.Envelope{
 			Kind:   amcast.KindReply,
@@ -108,15 +98,22 @@ func nodeConfig(cfg Config, proto *protocolDeployment, eng amcast.Engine) runtim
 // deployInMem also serves the "wan" transport: the same in-memory
 // deployment with every link routed through a delayNet applying the
 // paper's inter-region one-way latencies.
-func deployInMem(cfg Config, proto *protocolDeployment, clients []*clientProc) (*deployment, error) {
+func deployInMem(r *run, clients []*clientProc) (*deployment, error) {
+	cfg := r.cfg
 	nw := transport.NewInMemNet()
 	var dn *delayNet
 	if cfg.Transport == "wan" {
-		dn = newDelayNet(proto.groups)
+		dn = newDelayNet(r.proto.Groups)
+	}
+	closeNet := func() {
+		if dn != nil {
+			dn.close()
+		}
+		nw.Close()
 	}
 	// sendVia builds a node's send function: straight into the mailbox,
 	// or through the WAN delay queue of the (from, to) link.
-	sendVia := func(from amcast.NodeID) func(to amcast.NodeID, envs []amcast.Envelope) {
+	sendVia := func(from amcast.NodeID) runtime.SendBatchFunc {
 		if dn == nil {
 			return func(to amcast.NodeID, envs []amcast.Envelope) { nw.SendBatch(from, to, envs) }
 		}
@@ -126,38 +123,21 @@ func deployInMem(cfg Config, proto *protocolDeployment, clients []*clientProc) (
 			})
 		}
 	}
-	dep := &deployment{}
-	for _, g := range proto.groups {
-		eng, err := proto.factory(g)
-		if err != nil {
-			nw.Close()
-			return nil, err
-		}
-		id := amcast.GroupNode(g)
-		node := runtime.NewNode(eng, sendVia(id), nodeConfig(cfg, proto, eng))
-		dep.nodes = append(dep.nodes, node)
-		if err := nw.AddBatchHandler(id, node.Submit); err != nil {
-			nw.Close()
-			return nil, err
-		}
+	d, err := deploy.Start(r.stack(), nil, deploy.InMem(nw, sendVia), r.nodeConfig)
+	if err != nil {
+		closeNet()
+		return nil, err
 	}
+	dep := &deployment{Deployment: d, close: func() {
+		closeNet()
+		d.Close()
+	}}
 	for _, c := range clients {
-		c := c
 		c.batcher = runtime.NewBatcher(sendVia(c.id), cfg.MaxBatch)
 		if err := nw.AddBatchHandler(c.id, c.onReplies); err != nil {
-			nw.Close()
+			dep.close()
 			return nil, err
 		}
-	}
-	dep.close = func() {
-		if dn != nil {
-			dn.close()
-		}
-		nw.Close()
-		for _, n := range dep.nodes {
-			n.Close()
-		}
-		proto.closeFollowers()
 	}
 	return dep, nil
 }
@@ -165,10 +145,12 @@ func deployInMem(cfg Config, proto *protocolDeployment, clients []*clientProc) (
 // deployTCP runs the whole deployment over loopback TCP: one listening
 // node per group and per client process, so every envelope crosses the
 // real codec, framing and kernel socket path.
-func deployTCP(cfg Config, proto *protocolDeployment, clients []*clientProc) (*deployment, error) {
-	book := make(transport.AddrBook, len(proto.groups)+len(clients))
+func deployTCP(r *run, clients []*clientProc) (*deployment, error) {
+	cfg := r.cfg
+	groups := r.proto.Groups
+	book := make(transport.AddrBook, len(groups)+len(clients))
 	var ids []amcast.NodeID
-	for _, g := range proto.groups {
+	for _, g := range groups {
 		ids = append(ids, amcast.GroupNode(g))
 	}
 	for _, c := range clients {
@@ -193,56 +175,32 @@ func deployTCP(cfg Config, proto *protocolDeployment, clients []*clientProc) (*d
 		book[id] = ln.Addr().String()
 	}
 	// take hands id's listener to its node.
-	take := func(id amcast.NodeID) net.Listener {
+	take := func(id amcast.NodeID) (net.Listener, error) {
 		ln := lns[id]
 		delete(lns, id)
-		return ln
+		return ln, nil
 	}
 
-	dep := &deployment{}
-	var tcpNodes []*transport.TCPNode
-	cleanup := func() {
+	d, err := deploy.Start(r.stack(), nil, deploy.TCP(book, take), r.nodeConfig)
+	if err != nil {
 		closeUnused()
-		for _, tn := range tcpNodes {
+		return nil, err
+	}
+	var clientNodes []*transport.TCPNode
+	dep := &deployment{Deployment: d, close: func() {
+		for _, tn := range clientNodes {
 			tn.Close()
 		}
-		for _, n := range dep.nodes {
-			n.Close()
-		}
-		proto.closeFollowers()
-	}
-	for _, g := range proto.groups {
-		eng, err := proto.factory(g)
-		if err != nil {
-			cleanup()
-			return nil, err
-		}
-		// The listener starts accepting before tn is assigned; the send
-		// path gates on ready so a frame dispatched in that window parks
-		// until the assignment is published.
-		var tn *transport.TCPNode
-		ready := make(chan struct{})
-		node := runtime.NewNode(eng, func(to amcast.NodeID, envs []amcast.Envelope) {
-			<-ready
-			if tn == nil {
-				return
-			}
-			// Peer unreachable mid-benchmark only happens at teardown.
-			_ = tn.SendBatch(to, envs)
-		}, nodeConfig(cfg, proto, eng))
-		tn = transport.ListenerBatchNode(amcast.GroupNode(g), take(amcast.GroupNode(g)), book, node.Submit)
-		close(ready)
-		dep.nodes = append(dep.nodes, node)
-		tcpNodes = append(tcpNodes, tn)
-	}
+		d.Close()
+	}}
 	for _, c := range clients {
-		c := c
-		tn := transport.ListenerBatchNode(c.id, take(c.id), book, c.onReplies)
-		tcpNodes = append(tcpNodes, tn)
+		ln, _ := take(c.id)
+		tn := transport.ListenerNode(c.id, ln, book)
+		tn.Serve(c.onReplies)
+		clientNodes = append(clientNodes, tn)
 		c.batcher = runtime.NewBatcher(func(to amcast.NodeID, envs []amcast.Envelope) {
-			_ = tn.SendBatch(to, envs)
+			_ = tn.SendBatch(to, envs) // a failed send drops the batch, as in deploy.TCP
 		}, cfg.MaxBatch)
 	}
-	dep.close = cleanup
 	return dep, nil
 }

@@ -26,14 +26,11 @@ import (
 	"time"
 
 	"flexcast/amcast"
-	"flexcast/internal/core"
+	"flexcast/internal/deploy"
 	"flexcast/internal/durable"
 	"flexcast/internal/gtpcc"
-	"flexcast/internal/hierarchical"
 	"flexcast/internal/metrics"
-	"flexcast/internal/overlay"
 	"flexcast/internal/runtime"
-	"flexcast/internal/skeen"
 	"flexcast/internal/store"
 	"flexcast/internal/telemetry"
 	"flexcast/internal/wan"
@@ -479,206 +476,47 @@ type Result struct {
 	Stages *telemetry.StagesReport `json:"stages,omitempty"`
 }
 
-// protocolDeployment carries the protocol-specific pieces.
-type protocolDeployment struct {
-	groups  []amcast.GroupID
-	factory func(g amcast.GroupID) (amcast.Engine, error)
-	route   func(m amcast.Message) []amcast.NodeID
-	nearest func(home amcast.GroupID) []amcast.GroupID
-	// executors collects the store executors in group order (execute
-	// mode; filled as the transport deployment builds engines), and
-	// execByGroup indexes them for the local-read fast path.
-	executors   []*store.Executor
-	execByGroup map[amcast.GroupID]*store.Executor
-	// followers indexes each group's follower read replicas (Replicas
-	// >= 2): log-shipped from the serving node, lease-renewed by the
-	// feed, read by clients co-located with them.
-	followers map[amcast.GroupID][]*store.Replica
-	// Durable-backend pieces (-durable): the live durable engines by
-	// group, the protocol-only factory (for building the fresh engines
-	// the crash-recovery verification recovers into), and the snapshot
-	// decoder matching what the engines persist.
-	durables     map[amcast.GroupID]*durable.Engine
-	protoFactory func(g amcast.GroupID) (amcast.Engine, error)
-	snapDecode   func([]byte) (amcast.Snapshot, error)
-	// tracer is the run's lifecycle tracer (nil: tracing off); the
-	// factories wire it into every executor, and deploy into every node.
-	tracer *telemetry.Tracer
+// resolveProtocol resolves the run's protocol: the paper's 12 WAN
+// groups on the O1 overlay (T1 tree), any other group count on groups
+// 1..n with the chain overlay (star tree). Only the topology the
+// protocol uses is built: setup time is a benchmark metric.
+func resolveProtocol(cfg Config) (*deploy.Protocol, error) {
+	if cfg.Groups == wan.NumRegions && cfg.Protocol == deploy.Hierarchical {
+		return deploy.Resolve(cfg.Protocol, wan.Groups(), nil, wan.T1())
+	}
+	if cfg.Groups == wan.NumRegions {
+		return deploy.Resolve(cfg.Protocol, wan.Groups(), wan.O1(), nil)
+	}
+	groups := make([]amcast.GroupID, cfg.Groups)
+	for i := range groups {
+		groups[i] = amcast.GroupID(i + 1)
+	}
+	return deploy.Resolve(cfg.Protocol, groups, nil, nil)
 }
 
-// wrapExecute layers the store executor over the protocol factory:
-// every group's engine gains a warehouse shard plus a mirror replica —
-// and, with Replicas >= 2, the group's follower read replicas.
-func (d *protocolDeployment) wrapExecute(cfg Config) {
-	base := d.factory
-	d.execByGroup = make(map[amcast.GroupID]*store.Executor)
-	d.followers = make(map[amcast.GroupID][]*store.Replica)
-	d.factory = func(g amcast.GroupID) (amcast.Engine, error) {
-		eng, err := base(g)
-		if err != nil {
-			return nil, err
-		}
-		ex, err := store.Wrap(eng, store.Config{
-			Warehouse: g,
-			Seed:      cfg.StoreSeed,
-		}, true)
-		if err != nil {
-			return nil, err
-		}
-		for i := 1; i < cfg.Replicas; i++ {
-			rep, err := ex.AttachFollower(store.ReplicaConfig{
-				Idx:           int32(i),
-				Async:         true, // Clock defaults to the wall clock
-				AutoGrantTerm: uint64(cfg.LeaseTerm.Microseconds()),
-			})
-			if err != nil {
-				return nil, err
-			}
-			d.followers[g] = append(d.followers[g], rep)
-		}
-		ex.SetTracer(d.tracer)
-		d.executors = append(d.executors, ex)
-		d.execByGroup[g] = ex
-		return ex, nil
-	}
-}
-
-// wrapDurable layers the durable backend over the composed factory:
-// every group's engine (execution layer included, so the WAL records
-// the exact inputs of the state its snapshots capture) persists into
-// DurableDir/group-<id>.
-func (d *protocolDeployment) wrapDurable(cfg Config) {
-	base := d.factory
-	d.durables = make(map[amcast.GroupID]*durable.Engine)
-	d.factory = func(g amcast.GroupID) (amcast.Engine, error) {
-		eng, err := base(g)
-		if err != nil {
-			return nil, err
-		}
-		se, ok := eng.(amcast.SnapshotEngine)
-		if !ok {
-			return nil, fmt.Errorf("loadgen: durable backend requires a snapshot-capable engine, got %T", eng)
-		}
-		de, err := durable.Wrap(se, durable.Options{
-			Dir:           filepath.Join(cfg.DurableDir, fmt.Sprintf("group-%d", g)),
-			SnapshotEvery: cfg.DurableSnapshotEvery,
-			FsyncEvery:    cfg.DurableFsyncEvery,
-			Decode:        d.snapDecode,
-		})
-		if err != nil {
-			return nil, err
-		}
-		d.durables[g] = de
-		return de, nil
-	}
-}
-
-// closeFollowers stops the follower repliers; call after the serving
-// nodes (the feeders) have closed.
-func (d *protocolDeployment) closeFollowers() {
-	for _, reps := range d.followers {
-		for _, rep := range reps {
-			rep.Close()
-		}
-	}
-}
-
-func buildProtocol(cfg Config) (*protocolDeployment, error) {
-	var groups []amcast.GroupID
-	paperScale := cfg.Groups == wan.NumRegions
-	if paperScale {
-		groups = wan.Groups()
-	} else {
-		for i := 1; i <= cfg.Groups; i++ {
-			groups = append(groups, amcast.GroupID(i))
-		}
-	}
-	d := &protocolDeployment{groups: groups}
-	d.nearest = func(home amcast.GroupID) []amcast.GroupID {
-		if paperScale {
-			return wan.NearestOrder(home)
-		}
-		var out []amcast.GroupID
-		for _, g := range groups {
-			if g != home {
-				out = append(out, g)
-			}
-		}
-		return out
-	}
-	switch cfg.Protocol {
-	case "flexcast":
-		var ov *overlay.CDAG
-		var err error
-		if paperScale {
-			ov = wan.O1()
-		} else if ov, err = overlay.NewCDAG(groups); err != nil {
-			return nil, err
-		}
-		d.factory = func(g amcast.GroupID) (amcast.Engine, error) {
-			return core.New(core.Config{Group: g, Overlay: ov})
-		}
-		d.route = func(m amcast.Message) []amcast.NodeID {
-			return []amcast.NodeID{amcast.GroupNode(ov.Lca(m.Dst))}
-		}
-	case "skeen":
-		d.factory = func(g amcast.GroupID) (amcast.Engine, error) {
-			return skeen.New(skeen.Config{Group: g, Groups: groups})
-		}
-		d.route = func(m amcast.Message) []amcast.NodeID {
-			nodes := make([]amcast.NodeID, len(m.Dst))
-			for i, g := range m.Dst {
-				nodes[i] = amcast.GroupNode(g)
-			}
-			return nodes
-		}
-	case "hierarchical":
-		var tr *overlay.Tree
-		var err error
-		if paperScale {
-			tr = wan.T1()
-		} else {
-			// Star tree rooted at the first group.
-			children := map[amcast.GroupID][]amcast.GroupID{groups[0]: groups[1:]}
-			if tr, err = overlay.NewTree(groups[0], children); err != nil {
-				return nil, err
-			}
-		}
-		d.factory = func(g amcast.GroupID) (amcast.Engine, error) {
-			return hierarchical.New(hierarchical.Config{Group: g, Tree: tr})
-		}
-		d.route = func(m amcast.Message) []amcast.NodeID {
-			return []amcast.NodeID{amcast.GroupNode(tr.Lca(m.Dst))}
-		}
-	}
-	d.protoFactory = d.factory
+// stack is the run's per-group engine stack: the protocol engine, the
+// store executor (plus mirror and followers) with -execute, and the
+// durable backend with -durable.
+func (r *run) stack() *deploy.Stack {
+	cfg := r.cfg
+	st := &deploy.Stack{Proto: r.proto}
 	if cfg.Execute {
-		d.wrapExecute(cfg)
+		st.Execute = &deploy.Execute{
+			Store:     store.Config{Seed: cfg.StoreSeed},
+			Mirror:    true,
+			Followers: cfg.Replicas - 1,
+			LeaseTerm: cfg.LeaseTerm,
+			Tracer:    r.tracer,
+		}
 	}
 	if cfg.Durable {
-		proto := protoSnapshotDecoder(cfg.Protocol)
-		d.snapDecode = proto
-		if cfg.Execute {
-			d.snapDecode = func(data []byte) (amcast.Snapshot, error) {
-				return store.UnmarshalSnapshot(data, proto)
-			}
+		st.Durable = &deploy.Durable{
+			Dir:           cfg.DurableDir,
+			SnapshotEvery: cfg.DurableSnapshotEvery,
+			FsyncEvery:    cfg.DurableFsyncEvery,
 		}
-		d.wrapDurable(cfg)
 	}
-	return d, nil
-}
-
-// protoSnapshotDecoder returns the snapshot decoder of a protocol's
-// bare engine.
-func protoSnapshotDecoder(protocol string) func([]byte) (amcast.Snapshot, error) {
-	switch protocol {
-	case "skeen":
-		return skeen.UnmarshalSnapshot
-	case "hierarchical":
-		return hierarchical.UnmarshalSnapshot
-	default:
-		return core.UnmarshalSnapshot
-	}
+	return st
 }
 
 // txState tracks one in-flight transaction at its issuing client.
@@ -840,7 +678,7 @@ func (c *clientProc) addRequest(m amcast.Message) {
 		})
 		return
 	}
-	for _, to := range c.run.proto.route(m) {
+	for _, to := range c.run.proto.Route(m) {
 		c.batcher.Add(to, amcast.Envelope{Kind: amcast.KindRequest, From: c.id, Msg: m})
 	}
 }
@@ -949,7 +787,9 @@ type txMeta struct {
 // run is one executing load run.
 type run struct {
 	cfg   Config
-	proto *protocolDeployment
+	proto *deploy.Protocol
+	// dep is the running deployment, set once start has built it.
+	dep *deployment
 
 	hist      *metrics.Histogram
 	tracer    *telemetry.Tracer
@@ -1073,6 +913,30 @@ func (r *run) complete(tx *txState, now time.Time) {
 	}
 }
 
+// newRun resolves a filled configuration's protocol and sets up the
+// run's accumulators.
+func newRun(cfg Config) (*run, error) {
+	proto, err := resolveProtocol(cfg)
+	if err != nil {
+		return nil, err
+	}
+	r := &run{
+		cfg:           cfg,
+		proto:         proto,
+		hist:          metrics.NewHistogram(),
+		readHist:      metrics.NewHistogram(),
+		tracer:        telemetry.NewTracer(cfg.TraceSample, nil),
+		readByReplica: make([]atomic.Uint64, cfg.Replicas),
+	}
+	if cfg.SLOMs > 0 {
+		r.sloTargetUs = int64(cfg.SLOMs * 1000)
+	}
+	for i := range r.typeHists {
+		r.typeHists[i] = metrics.NewHistogram()
+	}
+	return r, nil
+}
+
 // Run executes one load run and returns its measurement.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.fill(); err != nil {
@@ -1100,22 +964,11 @@ func Run(cfg Config) (*Result, error) {
 			cfg.DurableDir = dir
 		}
 	}
-	proto, err := buildProtocol(cfg)
+	r, err := newRun(cfg)
 	if err != nil {
 		return nil, err
 	}
-	r := &run{cfg: cfg, proto: proto, hist: metrics.NewHistogram(), readHist: metrics.NewHistogram()}
-	if cfg.SLOMs > 0 {
-		r.sloTargetUs = int64(cfg.SLOMs * 1000)
-	}
-	r.tracer = telemetry.NewTracer(cfg.TraceSample, nil)
-	proto.tracer = r.tracer
-	r.readByReplica = make([]atomic.Uint64, cfg.Replicas)
-	for i := range r.typeHists {
-		r.typeHists[i] = metrics.NewHistogram()
-	}
-
-	dep, clients, err := deploy(cfg, proto, r)
+	dep, clients, err := start(r)
 	if err != nil {
 		return nil, err
 	}
@@ -1141,7 +994,7 @@ func Run(cfg Config) (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			flushLoop(clients[0], cfg, proto, stop, errCh)
+			flushLoop(clients[0], cfg, stop, errCh)
 		}()
 	}
 	for _, c := range clients {
@@ -1182,7 +1035,7 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.SLOMs > 0 {
 		trajStop = make(chan struct{})
 		trajOut = make(chan []SLOPoint, 1)
-		go sampleTrajectory(dep.nodes, r.windowStart, trajStop, trajOut)
+		go sampleTrajectory(dep.Nodes, r.windowStart, trajStop, trajOut)
 	}
 	time.Sleep(cfg.Duration)
 	r.measuring.Store(false)
@@ -1280,7 +1133,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	var stats runtime.BatcherStats
-	for _, n := range dep.nodes {
+	for _, n := range dep.Nodes {
 		stats.Add(n.Stats())
 	}
 	for _, c := range clients {
@@ -1303,18 +1156,19 @@ func (r *run) auditExecution() (*ExecuteResult, error) {
 	if n := r.execNoVerdict.Load(); n > 0 {
 		return nil, fmt.Errorf("loadgen: %d replies carried no execution verdict (a shard skipped executing a transaction)", n)
 	}
-	execs := r.proto.executors
-	if len(execs) == 0 {
+	groups := r.dep.Groups
+	if len(groups) == 0 || groups[0].Exec == nil {
 		return nil, fmt.Errorf("loadgen: execute mode deployed no store executors")
 	}
 	res := &ExecuteResult{
 		PerType: make(map[string]*TxTypeStats),
-		Shards:  len(execs),
+		Shards:  len(groups),
 	}
-	shards := make([]*store.Shard, 0, len(execs))
+	shards := make([]*store.Shard, 0, len(groups))
 	global := sha256.New()
 	var banked int64
-	for _, ex := range execs {
+	for _, grp := range groups {
+		ex := grp.Exec
 		if err := ex.CheckMirror(); err != nil {
 			return nil, err
 		}
@@ -1365,50 +1219,24 @@ func (r *run) auditExecution() (*ExecuteResult, error) {
 // snapshot, i.e. recovery work is bounded by snapshot age, not run
 // length. Either check failing fails the run.
 func (r *run) verifyDurableRecovery() (*DurableResult, error) {
-	cfg := r.cfg
 	res := &DurableResult{DigestsMatch: true}
 	var totalElapsed time.Duration
-	for _, g := range r.proto.groups {
-		de := r.proto.durables[g]
-		live := r.proto.execByGroup[g]
-		if de == nil || live == nil {
+	for _, live := range r.dep.Groups {
+		g := live.ID
+		if live.Durable == nil || live.Exec == nil {
 			return nil, fmt.Errorf("loadgen: group %d has no durable engine or executor", g)
 		}
-		if err := de.Err(); err != nil {
+		if err := live.Durable.Err(); err != nil {
 			return nil, fmt.Errorf("loadgen: group %d durable backend failed mid-run: %w", g, err)
 		}
-		image, err := copyDirImage(filepath.Join(cfg.DurableDir, fmt.Sprintf("group-%d", g)))
+		stats, digest, err := r.recoverImage(g)
 		if err != nil {
 			return nil, err
 		}
-		eng, err := r.proto.protoFactory(g)
-		if err != nil {
-			os.RemoveAll(image)
-			return nil, err
-		}
-		fresh, err := store.Wrap(eng, store.Config{Warehouse: g, Seed: cfg.StoreSeed}, false)
-		if err != nil {
-			os.RemoveAll(image)
-			return nil, err
-		}
-		rde, err := durable.Wrap(fresh, durable.Options{
-			Dir:           image,
-			SnapshotEvery: cfg.DurableSnapshotEvery,
-			FsyncEvery:    -1, // verification only reads; never fsync
-			Decode:        r.proto.snapDecode,
-		})
-		if err != nil {
-			os.RemoveAll(image)
-			return nil, fmt.Errorf("loadgen: group %d crash-image recovery: %w", g, err)
-		}
-		stats := rde.Recovery()
-		rde.Close()
-		os.RemoveAll(image)
-
-		if got, want := fresh.Shard().Digest(), live.Shard().Digest(); got != want {
+		if digest != live.Exec.Shard().Digest() {
 			return nil, fmt.Errorf("loadgen: group %d recovered shard digest diverges from live state", g)
 		}
-		if since := de.SinceSnapshot(); stats.ReplayedEnvelopes != since {
+		if since := live.Durable.SinceSnapshot(); stats.ReplayedEnvelopes != since {
 			return nil, fmt.Errorf("loadgen: group %d replayed %d envelopes but %d were appended since the last snapshot (snapshot age does not bound recovery)",
 				g, stats.ReplayedEnvelopes, since)
 		}
@@ -1432,18 +1260,41 @@ func (r *run) verifyDurableRecovery() (*DurableResult, error) {
 	return res, nil
 }
 
-// copyDirImage copies a durable directory into a fresh temp dir — the
-// crash image the recovery verification owns (recovering in place would
-// race the live engine's open WAL).
-func copyDirImage(src string) (string, error) {
-	dst, err := os.MkdirTemp("", "flexload-crash-")
+// recoverImage copies group g's durable directory — the crash image
+// (recovering in place would race the live engine's open WAL) — and
+// recovers it into a fresh executor built by the run's own stack, minus
+// the mirror and followers, never fsyncing. It returns the recovery
+// statistics and the recovered shard's digest.
+func (r *run) recoverImage(g amcast.GroupID) (durable.RecoveryStats, [32]byte, error) {
+	root, err := os.MkdirTemp("", "flexload-crash-")
 	if err != nil {
-		return "", err
+		return durable.RecoveryStats{}, [32]byte{}, err
 	}
+	defer os.RemoveAll(root)
+	if err := copyDir(deploy.GroupDir(r.cfg.DurableDir, g), deploy.GroupDir(root, g)); err != nil {
+		return durable.RecoveryStats{}, [32]byte{}, err
+	}
+	st := r.stack()
+	st.Execute = &deploy.Execute{Store: st.Execute.Store}
+	st.Durable.Dir = root
+	st.Durable.FsyncEvery = -1 // verification only reads
+	grp, err := st.Build(g)
+	if err != nil {
+		return durable.RecoveryStats{}, [32]byte{}, fmt.Errorf("loadgen: group %d crash-image recovery: %w", g, err)
+	}
+	defer grp.Close()
+	return grp.Durable.Recovery(), grp.Exec.Shard().Digest(), nil
+}
+
+// copyDir copies the regular files of directory src into a new
+// directory dst.
+func copyDir(src, dst string) error {
 	ents, err := os.ReadDir(src)
 	if err != nil {
-		os.RemoveAll(dst)
-		return "", err
+		return err
+	}
+	if err := os.MkdirAll(dst, 0o755); err != nil {
+		return err
 	}
 	for _, ent := range ents {
 		if ent.IsDir() {
@@ -1451,15 +1302,13 @@ func copyDirImage(src string) (string, error) {
 		}
 		data, err := os.ReadFile(filepath.Join(src, ent.Name()))
 		if err != nil {
-			os.RemoveAll(dst)
-			return "", err
+			return err
 		}
 		if err := os.WriteFile(filepath.Join(dst, ent.Name()), data, 0o644); err != nil {
-			os.RemoveAll(dst)
-			return "", err
+			return err
 		}
 	}
-	return dst, nil
+	return nil
 }
 
 // doRead serves one read-only transaction under the configured
@@ -1483,12 +1332,12 @@ func copyDirImage(src string) (string, error) {
 func (c *clientProc) doRead(gen *gtpcc.Gen, cfg Config, stop <-chan struct{}, wait *waitTimer) error {
 	tx := gen.NextRead()
 	if cfg.Replicas <= 1 {
-		ex := c.run.proto.execByGroup[tx.Home]
-		if ex == nil {
+		grp := c.run.dep.Group(tx.Home)
+		if grp == nil || grp.Exec == nil {
 			return fmt.Errorf("loadgen: no executor for warehouse %d", tx.Home)
 		}
 		start := time.Now()
-		res, err := ex.Read(tx, c.observedPrefix(tx.Home), cfg.Timeout)
+		res, err := grp.Exec.Read(tx, c.observedPrefix(tx.Home), cfg.Timeout)
 		if err != nil {
 			return err
 		}
@@ -1497,11 +1346,11 @@ func (c *clientProc) doRead(gen *gtpcc.Gen, cfg Config, stop <-chan struct{}, wa
 		return nil
 	}
 	if cfg.FollowerReads {
-		reps := c.run.proto.followers[tx.Home]
-		if len(reps) == 0 {
+		grp := c.run.dep.Group(tx.Home)
+		if grp == nil || len(grp.Followers) == 0 {
 			return fmt.Errorf("loadgen: no follower replicas for warehouse %d", tx.Home)
 		}
-		rep := reps[c.rr.Add(1)%uint64(len(reps))]
+		rep := grp.Followers[c.rr.Add(1)%uint64(len(grp.Followers))]
 		start := time.Now()
 		res, err := rep.Read(tx, c.observedPrefix(tx.Home), cfg.Timeout)
 		if err == nil {
@@ -1768,7 +1617,7 @@ func openLoopSessions(c *clientProc, cfg Config, stop <-chan struct{}, errCh cha
 // flush process of §4.3). A flush that times out fails the run: a
 // benchmark silently running without garbage collection would publish
 // numbers for a different system.
-func flushLoop(c *clientProc, cfg Config, proto *protocolDeployment, stop <-chan struct{}, errCh chan<- error) {
+func flushLoop(c *clientProc, cfg Config, stop <-chan struct{}, errCh chan<- error) {
 	t := time.NewTicker(cfg.FlushEvery)
 	defer t.Stop()
 	timer := newWaitTimer()
@@ -1783,7 +1632,7 @@ func flushLoop(c *clientProc, cfg Config, proto *protocolDeployment, stop <-chan
 		m := amcast.Message{
 			ID:     amcast.NewMsgID(c.idx, seq),
 			Sender: c.id,
-			Dst:    append([]amcast.GroupID(nil), proto.groups...),
+			Dst:    append([]amcast.GroupID(nil), c.run.proto.Groups...),
 			Flags:  amcast.FlagFlush,
 		}
 		tx := c.issue(m, txMeta{}, true, true)
@@ -1796,11 +1645,12 @@ func flushLoop(c *clientProc, cfg Config, proto *protocolDeployment, stop <-chan
 }
 
 func newGen(c *clientProc, worker int, cfg Config) (*gtpcc.Gen, error) {
-	home := c.run.proto.groups[c.idx%len(c.run.proto.groups)]
+	groups := c.run.proto.Groups
+	home := groups[c.idx%len(groups)]
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(c.idx)*7919 + int64(worker)*104729))
 	return gtpcc.New(gtpcc.Config{
 		Home:       home,
-		Nearest:    c.run.proto.nearest(home),
+		Nearest:    c.run.proto.Nearest(home),
 		Locality:   cfg.Locality,
 		GlobalOnly: cfg.GlobalOnly,
 		Zipf:       cfg.Zipf,

@@ -3,6 +3,7 @@ package loadgen
 import (
 	"os"
 	"path/filepath"
+	goruntime "runtime"
 	"testing"
 	"time"
 )
@@ -169,7 +170,6 @@ func TestRunExecuteDeterministicDigest(t *testing.T) {
 	checkExecuteResult(t, res)
 }
 
-// TestConfigValidation rejects unknown transports and protocols.
 // TestRunReadMix exercises the local-read fast path under load: half
 // the iterations are fast-path reads, measured in their own histogram,
 // while the multicast path and every execute-mode audit stay intact.
@@ -229,6 +229,83 @@ func TestReadMixRequiresExecute(t *testing.T) {
 	}
 }
 
+// TestRunProtocolsExecuteDurable runs every protocol through the real
+// runtime with store execution and the durable backend on the paper's
+// 12 groups (O1 overlay, T1 tree). Snapshots every 64 envelopes make the
+// end-of-run crash-image recovery restore snapshots, so each protocol's
+// composed store-over-protocol snapshot decoder runs; the run's own
+// digest and replay-bound checks are the oracle.
+func TestRunProtocolsExecuteDurable(t *testing.T) {
+	for _, proto := range []string{"flexcast", "skeen", "hierarchical"} {
+		t.Run(proto, func(t *testing.T) {
+			cfg := shortCfg()
+			cfg.Protocol = proto
+			cfg.Execute = true
+			cfg.Durable = true
+			cfg.DurableDir = t.TempDir()
+			cfg.DurableSnapshotEvery = 64
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Completed == 0 {
+				t.Fatal("nothing completed")
+			}
+			checkExecuteResult(t, res)
+			d := res.Durable
+			if d == nil || !d.DigestsMatch || d.Groups != 12 {
+				t.Fatalf("crash-image recovery not verified on every group: %+v", d)
+			}
+			if d.SnapshottedGroups == 0 {
+				t.Fatalf("no group recovered from a snapshot; the snapshot decoder never ran: %+v", d)
+			}
+		})
+	}
+}
+
+// TestDeployClosesPartialAssembly fails a deployment midway — group 3's
+// durable directory is a regular file — and requires the assembly to
+// report the error and leave nothing running: the nodes, durable WALs
+// and follower replicas of groups 1 and 2 are closed, so the goroutine
+// count settles back to its baseline.
+func TestDeployClosesPartialAssembly(t *testing.T) {
+	for _, transport := range []string{"inmem", "tcp"} {
+		t.Run(transport, func(t *testing.T) {
+			cfg := shortCfg()
+			cfg.Transport = transport
+			cfg.Groups = 4
+			cfg.Execute = true
+			cfg.Durable = true
+			cfg.Replicas = 2
+			cfg.DurableDir = t.TempDir()
+			if err := cfg.fill(); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(cfg.DurableDir, "group-3"), nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			base := goruntime.NumGoroutine()
+			r, err := newRun(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dep, _, err := start(r); err == nil {
+				dep.close()
+				t.Fatal("deployment over an unusable group directory succeeded")
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for goruntime.NumGoroutine() > base {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines still running after the failed assembly, baseline %d",
+						goruntime.NumGoroutine(), base)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
+	}
+}
+
+// TestConfigValidation rejects unknown transports and protocols.
 func TestConfigValidation(t *testing.T) {
 	if _, err := Run(Config{Transport: "carrier-pigeon"}); err == nil {
 		t.Fatal("bad transport accepted")
@@ -541,12 +618,11 @@ func TestDeployTCPRepeatedly(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 300; i++ {
-		proto, err := buildProtocol(cfg)
+		r, err := newRun(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := &run{cfg: cfg, proto: proto}
-		dep, _, err := deploy(cfg, proto, r)
+		dep, _, err := start(r)
 		if err != nil {
 			t.Fatalf("deployment %d: %v", i, err)
 		}

@@ -30,7 +30,7 @@ func registerTelemetry(r *run, dep *deployment, clients []*clientProc) {
 	reg.RegisterCounter("lease_refusals", r.leaseRefusals.Load)
 	reg.RegisterCounter("remote_reads", r.remoteReads.Load)
 
-	nodes := dep.nodes
+	nodes := dep.Nodes
 	reg.RegisterCounter("backpressure_stalls", func() uint64 {
 		var n uint64
 		for _, nd := range nodes {
@@ -106,12 +106,12 @@ func registerTelemetry(r *run, dep *deployment, clients []*clientProc) {
 
 	// Replicated-run gauges: lease renewals across follower replicas and
 	// the worst follower watermark lag behind its group's serving node.
-	proto := r.proto
-	if len(proto.followers) > 0 {
+	if r.cfg.Replicas > 1 {
+		groups := dep.Groups
 		reg.RegisterCounter("lease_renewals", func() uint64 {
 			var n uint64
-			for _, reps := range proto.followers {
-				for _, rep := range reps {
+			for _, grp := range groups {
+				for _, rep := range grp.Followers {
 					n += rep.Renewals()
 				}
 			}
@@ -119,13 +119,9 @@ func registerTelemetry(r *run, dep *deployment, clients []*clientProc) {
 		})
 		reg.RegisterGauge("watermark_lag_max", func() float64 {
 			var max uint64
-			for g, reps := range proto.followers {
-				ex := proto.execByGroup[g]
-				if ex == nil {
-					continue
-				}
-				wm := ex.Watermark()
-				for _, rep := range reps {
+			for _, grp := range groups {
+				wm := grp.Exec.Watermark()
+				for _, rep := range grp.Followers {
 					if rw := rep.Watermark(); rw < wm && wm-rw > max {
 						max = wm - rw
 					}

@@ -112,6 +112,11 @@ type Tracer struct {
 	// stage s (stage[StageSubmit] is unused); e2e is submit→reply.
 	stage [NumStages]*metrics.Histogram
 	e2e   *metrics.Histogram
+	// fold makes Report a consistent snapshot: Finish folds a record
+	// into the histograms under the read lock (Finishes still run in
+	// parallel), Report and Merge take the write lock, so a report never
+	// holds a record's stage samples without its end-to-end sample.
+	fold sync.RWMutex
 
 	finished atomic.Uint64
 	active   atomic.Int64
@@ -218,6 +223,8 @@ func (t *Tracer) Finish(id amcast.MsgID) {
 	}
 	t.active.Add(-1)
 	rec.ts[StageReply] = now
+	t.fold.RLock()
+	defer t.fold.RUnlock()
 	prev := rec.ts[StageSubmit]
 	for s := 1; s < NumStages; s++ {
 		ts := rec.ts[s]
@@ -297,6 +304,8 @@ func (t *Tracer) Merge(other *Tracer) {
 	if t == nil || other == nil {
 		return
 	}
+	t.fold.Lock()
+	defer t.fold.Unlock()
 	for s := 1; s < NumStages; s++ {
 		t.stage[s].Merge(other.stage[s])
 	}
@@ -332,7 +341,12 @@ type StagesReport struct {
 // Report snapshots the tracer into its serialized form; nil when the
 // tracer is disabled or recorded nothing.
 func (t *Tracer) Report() *StagesReport {
-	if t == nil || t.finished.Load() == 0 {
+	if t == nil {
+		return nil
+	}
+	t.fold.Lock()
+	defer t.fold.Unlock()
+	if t.finished.Load() == 0 {
 		return nil
 	}
 	r := &StagesReport{

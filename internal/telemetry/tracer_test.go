@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"math"
+	"sync"
 	"testing"
 
 	"flexcast/amcast"
@@ -210,6 +212,63 @@ func TestMergeAndReport(t *testing.T) {
 	for _, sg := range rep.Stages {
 		if sg.Stage == "" || sg.Count == 0 {
 			t.Fatalf("malformed stage summary %+v", sg)
+		}
+	}
+}
+
+// TestReportConsistentUnderConcurrentFinish hammers Begin/Stamp/Finish
+// from several goroutines while reports are taken: every report must
+// telescope exactly — each stage and the end-to-end histogram hold one
+// sample per record, and the count-weighted stage means sum to the
+// records' end-to-end total — however the reads interleave with the
+// folds.
+func TestReportConsistentUnderConcurrentFinish(t *testing.T) {
+	tr := NewTracer(1, nil)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for seq := uint64(1); ; seq++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				m := id(w, seq)
+				tr.Begin(m)
+				for s := StageEnqueue; s < StageReply; s++ {
+					tr.Stamp(m, s)
+				}
+				tr.Finish(m)
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for checked := 0; checked < 500; {
+		r := tr.Report()
+		if r == nil {
+			continue
+		}
+		checked++
+		if r.E2E.Count != r.Records {
+			t.Fatalf("report %d: e2e holds %d samples for %d records", checked, r.E2E.Count, r.Records)
+		}
+		var weighted float64
+		for _, sg := range r.Stages {
+			if sg.Count != r.Records {
+				t.Fatalf("report %d: stage %s holds %d samples for %d records", checked, sg.Stage, sg.Count, r.Records)
+			}
+			weighted += float64(sg.Count) * sg.Mean
+		}
+		total := float64(r.Records) * r.E2E.Mean
+		if diff := math.Abs(weighted - total); diff > total*1e-9 {
+			t.Fatalf("report %d: stage durations sum to %.0fns but e2e totals %.0fns", checked, weighted, total)
 		}
 	}
 }

@@ -68,6 +68,17 @@ func NewTCPNode(id amcast.NodeID, book AddrBook, handler func(env amcast.Envelop
 // and dispatches inbound batches to handler, one call per frame; the
 // node runtime (internal/runtime) attaches this way.
 func NewTCPBatchNode(id amcast.NodeID, book AddrBook, handler BatchHandler) (*TCPNode, error) {
+	ln, err := Listen(id, book)
+	if err != nil {
+		return nil, err
+	}
+	n := ListenerNode(id, ln, book)
+	n.Serve(handler)
+	return n, nil
+}
+
+// Listen opens node id's listener on its address from the book.
+func Listen(id amcast.NodeID, book AddrBook) (net.Listener, error) {
 	addr, ok := book[id]
 	if !ok {
 		return nil, fmt.Errorf("transport: node %s not in address book", id)
@@ -76,65 +87,33 @@ func NewTCPBatchNode(id amcast.NodeID, book AddrBook, handler BatchHandler) (*TC
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
-	return ListenerBatchNode(id, ln, book, handler), nil
+	return ln, nil
 }
 
-// ListenerBatchNode is NewTCPBatchNode on a listener the caller already
-// holds, which the node takes over. A deployment that opens every
-// node's listener on port 0 before filling the book never has a port
-// taken between reservation and listen.
-func ListenerBatchNode(id amcast.NodeID, ln net.Listener, book AddrBook, handler BatchHandler) *TCPNode {
-	n := &TCPNode{
+// ListenerNode builds a node on a listener the caller already holds,
+// which the node takes over (a deployment that opens every listener on
+// port 0 before filling the book never has a port taken between
+// reservation and listen). The node can send at once but accepts
+// nothing until Serve, so whatever its send path feeds (a runtime node)
+// can be built in between without a frame arriving first.
+func ListenerNode(id amcast.NodeID, ln net.Listener, book AddrBook) *TCPNode {
+	return &TCPNode{
 		id:      id,
 		book:    book,
 		ln:      ln,
-		handler: handler,
 		conns:   make(map[amcast.NodeID]*peerConn),
 		inbound: make(map[net.Conn]struct{}),
 		in:      newEnvQueue(mailboxDepth),
 	}
+}
+
+// Serve starts accepting connections and dispatching inbound batches
+// to handler, one call per frame. Call it once.
+func (n *TCPNode) Serve(handler BatchHandler) {
+	n.handler = handler
 	n.wg.Add(2)
 	go n.acceptLoop()
 	go n.dispatchLoop()
-	return n
-}
-
-// NewTCPEngineNode runs a protocol engine over TCP: outputs are
-// transmitted, deliveries answered to clients.
-func NewTCPEngineNode(eng amcast.Engine, book AddrBook, onDeliver DeliverFunc) (*TCPNode, error) {
-	id := amcast.GroupNode(eng.Group())
-	var n *TCPNode
-	handler := func(env amcast.Envelope) {
-		outs := eng.OnEnvelope(env)
-		for _, o := range outs {
-			if err := n.Send(o.To, o.Env); err != nil {
-				// Peer unreachable: FIFO links are assumed reliable by the
-				// protocols; the send path retries dialing, so this only
-				// triggers on shutdown.
-				continue
-			}
-		}
-		for _, d := range eng.TakeDeliveries() {
-			if d.Msg.Sender.IsClient() {
-				_ = n.Send(d.Msg.Sender, amcast.Envelope{
-					Kind:   amcast.KindReply,
-					From:   id,
-					Msg:    d.Msg.Header(),
-					TS:     d.Seq,
-					Result: d.Result,
-				})
-			}
-			if onDeliver != nil {
-				onDeliver(d)
-			}
-		}
-	}
-	node, err := NewTCPNode(id, book, handler)
-	if err != nil {
-		return nil, err
-	}
-	n = node
-	return n, nil
 }
 
 // Addr returns the actual listen address (useful with ":0" test setups).

@@ -26,11 +26,7 @@ func TestTCPFlexCastThreeGroups(t *testing.T) {
 	var nodes []*TCPNode
 	for _, g := range ov.Order() {
 		eng := core.MustNew(core.Config{Group: g, Overlay: ov})
-		n, err := NewTCPEngineNode(eng, book, log.add)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes = append(nodes, n)
+		nodes = append(nodes, tcpEngine(t, eng, book, log.add))
 	}
 	cl, err := NewTCPNode(amcast.ClientNode(0), book, func(amcast.Envelope) {})
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"flexcast/amcast"
 	"flexcast/internal/core"
 	"flexcast/internal/overlay"
+	"flexcast/internal/runtime"
 	"flexcast/internal/skeen"
 )
 
@@ -73,9 +74,7 @@ func TestInMemFlexCastThreeGroups(t *testing.T) {
 	log := newDeliverLog()
 	for _, g := range ov.Order() {
 		eng := core.MustNew(core.Config{Group: g, Overlay: ov})
-		if err := net.AddEngine(eng, log.add); err != nil {
-			t.Fatal(err)
-		}
+		inmemEngine(t, net, eng, log.add)
 	}
 	var replies sync.Map
 	if err := net.AddHandler(amcast.ClientNode(0), func(env amcast.Envelope) {
@@ -158,11 +157,7 @@ func TestTCPSkeenTwoGroups(t *testing.T) {
 	var nodes []*TCPNode
 	for _, g := range groups {
 		eng := skeen.MustNew(skeen.Config{Group: g, Groups: groups})
-		n, err := NewTCPEngineNode(eng, book, log.add)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes = append(nodes, n)
+		nodes = append(nodes, tcpEngine(t, eng, book, log.add))
 	}
 	var replyCount sync.Map
 	cl, err := NewTCPNode(amcast.ClientNode(0), book, func(env amcast.Envelope) {
@@ -233,4 +228,35 @@ func TestTCPCloseUnblocks(t *testing.T) {
 	if err := n.Send(amcast.ClientNode(0), amcast.Envelope{Kind: amcast.KindFwd}); err == nil {
 		t.Fatal("send after close succeeded")
 	}
+}
+
+// inmemEngine attaches eng to nw behind a batched runtime node, the
+// in-memory wiring every deployment uses.
+func inmemEngine(t *testing.T, nw *InMemNet, eng amcast.Engine, onDeliver func(amcast.Delivery)) {
+	t.Helper()
+	id := amcast.GroupNode(eng.Group())
+	node := runtime.NewNode(eng, func(to amcast.NodeID, envs []amcast.Envelope) { nw.SendBatch(id, to, envs) },
+		runtime.Config{OnDeliver: onDeliver})
+	t.Cleanup(node.Close)
+	if err := nw.AddBatchHandler(id, node.Submit); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// tcpEngine runs eng behind a batched runtime node on a TCP node, the
+// wiring of internal/deploy.TCP. Cleanup closes the runtime node
+// after the caller's own deferred TCP node Close.
+func tcpEngine(t *testing.T, eng amcast.Engine, book AddrBook, onDeliver func(amcast.Delivery)) *TCPNode {
+	t.Helper()
+	id := amcast.GroupNode(eng.Group())
+	ln, err := Listen(id, book)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn := ListenerNode(id, ln, book)
+	node := runtime.NewNode(eng, func(to amcast.NodeID, envs []amcast.Envelope) { _ = tn.SendBatch(to, envs) },
+		runtime.Config{OnDeliver: onDeliver})
+	t.Cleanup(node.Close)
+	tn.Serve(node.Submit)
+	return tn
 }

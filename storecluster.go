@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"flexcast/amcast"
+	"flexcast/internal/deploy"
 	"flexcast/internal/gtpcc"
 	"flexcast/internal/store"
 )
@@ -115,8 +116,6 @@ type TxResult struct {
 // the executable-workload counterpart of Cluster.
 type StoreCluster struct {
 	c         *Cluster
-	execs     map[GroupID]*store.Executor
-	replicas  map[GroupID][]*store.Replica
 	items     int
 	customers int
 	fastReads bool
@@ -131,46 +130,6 @@ func NewStoreCluster(cfg StoreClusterConfig) (*StoreCluster, error) {
 	if cfg.Warehouses == 0 {
 		cfg.Warehouses = 4
 	}
-	ccfg := ClusterConfig{
-		Protocol:      cfg.Protocol,
-		Overlay:       cfg.Overlay,
-		Tree:          cfg.Tree,
-		MaxBatch:      cfg.MaxBatch,
-		FlushInterval: cfg.FlushInterval,
-		CallTimeout:   cfg.CallTimeout,
-	}
-	if cfg.Durable != nil {
-		dcfg := *cfg.Durable
-		if dcfg.Decode == nil {
-			// The durable layer wraps the executor, so its snapshots are
-			// the store layer's encoding over the protocol engine's.
-			proto := protocolSnapshotDecoder(cfg.Protocol)
-			dcfg.Decode = func(_ GroupID, data []byte) (amcast.Snapshot, error) {
-				return store.UnmarshalSnapshot(data, proto)
-			}
-		}
-		ccfg.Durable = &dcfg
-	}
-	if ccfg.Overlay == nil && ccfg.Tree == nil {
-		groups := make([]GroupID, cfg.Warehouses)
-		for i := range groups {
-			groups[i] = GroupID(i + 1)
-		}
-		if cfg.Protocol == ProtocolHierarchical {
-			tree, err := NewTree(groups[0], map[GroupID][]GroupID{groups[0]: groups[1:]})
-			if err != nil {
-				return nil, err
-			}
-			ccfg.Tree = tree
-		} else {
-			ov, err := NewOverlay(groups)
-			if err != nil {
-				return nil, err
-			}
-			ccfg.Overlay = ov
-		}
-	}
-
 	if cfg.Items == 0 {
 		cfg.Items = gtpcc.NumItems
 	}
@@ -184,44 +143,38 @@ func NewStoreCluster(cfg StoreClusterConfig) (*StoreCluster, error) {
 	if cfg.LeaseTerm == 0 {
 		cfg.LeaseTerm = 250 * time.Millisecond
 	}
-	sc := &StoreCluster{
-		execs:     make(map[GroupID]*store.Executor),
-		replicas:  make(map[GroupID][]*store.Replica),
+	// Without an explicit overlay or tree, the warehouses 1..Warehouses
+	// run on the chain overlay (the star tree for hierarchical).
+	var groups []GroupID
+	if cfg.Overlay == nil && cfg.Tree == nil {
+		for g := 1; g <= cfg.Warehouses; g++ {
+			groups = append(groups, GroupID(g))
+		}
+	}
+	c, err := newCluster(ClusterConfig{
+		Protocol:      cfg.Protocol,
+		Overlay:       cfg.Overlay,
+		Tree:          cfg.Tree,
+		MaxBatch:      cfg.MaxBatch,
+		FlushInterval: cfg.FlushInterval,
+		CallTimeout:   cfg.CallTimeout,
+		Durable:       cfg.Durable,
+	}, groups, &deploy.Execute{
+		Store:     store.Config{Items: cfg.Items, Customers: cfg.Customers, Seed: cfg.StoreSeed},
+		Mirror:    true,
+		Followers: cfg.ReadReplicas,
+		LeaseTerm: cfg.LeaseTerm,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &StoreCluster{
+		c:         c,
 		items:     cfg.Items,
 		customers: cfg.Customers,
 		fastReads: !cfg.DisableFastReads,
 		timeout:   timeout,
-	}
-	ccfg.WrapEngine = func(g GroupID, eng Engine) (Engine, error) {
-		ex, err := store.Wrap(eng, store.Config{
-			Warehouse: g,
-			Items:     cfg.Items,
-			Customers: cfg.Customers,
-			Seed:      cfg.StoreSeed,
-		}, true)
-		if err != nil {
-			return nil, err
-		}
-		sc.execs[g] = ex
-		for i := 0; i < cfg.ReadReplicas; i++ {
-			rep, err := ex.AttachFollower(store.ReplicaConfig{
-				Idx:           int32(i + 1),
-				Async:         true, // Clock defaults to the wall clock
-				AutoGrantTerm: uint64(cfg.LeaseTerm.Microseconds()),
-			})
-			if err != nil {
-				return nil, err
-			}
-			sc.replicas[g] = append(sc.replicas[g], rep)
-		}
-		return ex, nil
-	}
-	c, err := NewCluster(ccfg)
-	if err != nil {
-		return nil, err
-	}
-	sc.c = c
-	return sc, nil
+	}, nil
 }
 
 // Warehouses returns the cluster's warehouse groups.
@@ -368,11 +321,11 @@ func (sc *StoreCluster) Payment(home, customerWarehouse GroupID, customer int, a
 // load-balance across follower replicas; this cluster-wide form always
 // reads the serving node.
 func (sc *StoreCluster) readFast(tx gtpcc.Tx) (*TxResult, error) {
-	ex, ok := sc.execs[tx.Home]
-	if !ok {
-		return nil, fmt.Errorf("flexcast: unknown warehouse %d", tx.Home)
+	wh, err := sc.warehouse(tx.Home)
+	if err != nil {
+		return nil, err
 	}
-	res, err := ex.Read(tx, sc.c.ObservedPrefix(tx.Home), sc.timeout)
+	res, err := wh.Exec.Read(tx, sc.c.ObservedPrefix(tx.Home), sc.timeout)
 	if err != nil {
 		return nil, err
 	}
@@ -434,38 +387,37 @@ func (sc *StoreCluster) StockLevel(warehouse GroupID, threshold int) (*TxResult,
 // byte-identical state. Quiesce the cluster (no in-flight Calls) before
 // reading digests.
 func (sc *StoreCluster) Digest(warehouse GroupID) ([32]byte, error) {
-	ex, ok := sc.execs[warehouse]
-	if !ok {
-		return [32]byte{}, fmt.Errorf("flexcast: unknown warehouse %d", warehouse)
+	wh, err := sc.warehouse(warehouse)
+	if err != nil {
+		return [32]byte{}, err
 	}
-	return ex.Digest(), nil
+	return wh.Exec.Digest(), nil
+}
+
+// warehouse returns a warehouse's assembled group.
+func (sc *StoreCluster) warehouse(g GroupID) (*deploy.Group, error) {
+	if wh := sc.c.dep.Group(g); wh != nil {
+		return wh, nil
+	}
+	return nil, fmt.Errorf("flexcast: unknown warehouse %d", g)
 }
 
 // CheckInvariants audits the quiesced store: per-shard conservation,
 // the cross-shard payment and order-line conservation laws, and the
 // byte-identity of each shard's mirror replica.
 func (sc *StoreCluster) CheckInvariants() error {
-	shards := make([]*store.Shard, 0, len(sc.execs))
-	for _, g := range sc.c.Groups() {
-		ex := sc.execs[g]
-		if err := ex.CheckMirror(); err != nil {
+	var shards []*store.Shard
+	for _, wh := range sc.c.dep.Groups {
+		if err := wh.Exec.CheckMirror(); err != nil {
 			return err
 		}
-		shards = append(shards, ex.Shard())
+		shards = append(shards, wh.Exec.Shard())
 	}
 	return store.CheckInvariants(shards)
 }
 
-// Close stops the underlying cluster, then the follower read replicas
-// (in that order: the cluster's nodes are the replicas' log feeders).
-func (sc *StoreCluster) Close() {
-	sc.c.Close()
-	for _, reps := range sc.replicas {
-		for _, rep := range reps {
-			rep.Close()
-		}
-	}
-}
+// Close stops the underlying cluster, follower read replicas included.
+func (sc *StoreCluster) Close() { sc.c.Close() }
 
 // Session is one client session over the store: it carries its own
 // barrier vector (amcast.PrefixTracker) fed by the replies and read
@@ -570,10 +522,11 @@ func (s *Session) read(tx gtpcc.Tx) (*TxResult, error) {
 		tx.Dst = tx.Involved()
 		return s.exec(tx)
 	}
-	ex, ok := s.sc.execs[tx.Home]
-	if !ok {
-		return nil, fmt.Errorf("flexcast: unknown warehouse %d", tx.Home)
+	wh, err := s.sc.warehouse(tx.Home)
+	if err != nil {
+		return nil, err
 	}
+	ex := wh.Exec
 	s.mu.Lock()
 	barrier := s.barrier.Prefix(tx.Home)
 	turn := s.rr
@@ -581,9 +534,8 @@ func (s *Session) read(tx gtpcc.Tx) (*TxResult, error) {
 	s.mu.Unlock()
 
 	var res store.ReadResult
-	var err error
 	var replica int32
-	if reps := s.sc.replicas[tx.Home]; len(reps) > 0 {
+	if reps := wh.Followers; len(reps) > 0 {
 		rep := reps[turn%uint64(len(reps))]
 		res, err = rep.Read(tx, barrier, s.sc.timeout)
 		replica = rep.Idx()
